@@ -7699,10 +7699,12 @@ def _q_graph_modularity(sf_dir: str):
 
 
 def _q_search_hybrid(sf_dir: str):
-    """Dataset-mode RRF hybrid search: scoring passes stream over the edge
-    table (map_batches → sort/limit), no to_pandas of full tables; the
-    pandas KGSearcher is the small-graph convenience twin (equality
-    asserted in tests/test_dataset_search.py)."""
+    """Dataset-mode RRF hybrid search: two streaming passes per table (a
+    query-term BM25 stats pass, then one fused scoring pass keeping each
+    block's top 2×limit rows per method) and an in-process merge — no
+    sort, shuffle or to_pandas of full tables; the pandas KGSearcher is
+    the small-graph convenience twin (equality asserted in
+    tests/test_dataset_search.py)."""
     from graphiti_ray.pipelines.dataset_search import KGDatasetSearcher
     from graphiti_ray.pipelines.search import COMBINED_HYBRID_SEARCH_RRF
 

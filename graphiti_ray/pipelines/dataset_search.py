@@ -3,25 +3,36 @@
 ``KGSearcher`` (pipelines/search.py) materializes the tables with
 ``to_pandas`` — right for entity-sized graphs, wrong at web scale (the
 round-1 verdict's "pandas-resident searcher"). ``KGDatasetSearcher`` keeps
-every table a ``ray.data.Dataset``:
+every table a ``ray.data.Dataset`` and searches one table in at most two
+streaming passes over it, with no sort, groupby or hash shuffle:
 
-- each method's scoring pass is a ``map_batches`` over the table emitting
-  NARROW (uuid, _score) rows, then a global ``sort`` + ``limit`` — only a
-  candidate-list (≤ 2×limit uuids) ever reaches the driver;
-- rerank kernels (rrf / mmr / episode_mentions / node_distance /
-  cross_encoder — pipelines/search.py) run driver-side over those tiny
-  candidate lists, exactly as the reference reranks over fetched rows
-  (search/search.py:67-159);
-- final hydration is a broadcast uuid-set filter over the table (one
-  streaming pass), never a full materialization.
+1. query-term stats (only when ``bm25`` is configured): each block emits
+   ONE row — its row count, token total and the document frequency of
+   each distinct query term — which the caller sums into a
+   ``BM25Index``. IDF stays table-global; no vocabulary-wide groupby.
+2. one fused scoring pass: each block filters ``group_id`` in Arrow,
+   applies the search filter, scores BM25 and cosine, and keeps its own
+   top ``2×limit`` FULL rows per method under (_score desc, uuid asc).
+3. merge in the calling process: the per-block lists merge under the
+   same key, which
+   equals a global sort + limit (a row of the global top k is in its
+   block's top k). Rerank kernels (rrf / mmr / episode_mentions /
+   node_distance / cross_encoder — pipelines/search.py) then run over the
+   rows already held, as the reference reranks over fetched rows
+   (search/search.py:67-159), and the result is hydrated from them.
+
+BFS (edge search from origin uuids) is its own pass; ``node_distance``
+reads the edges table through ``node_distances``.
 
 Result parity: identical top-k to ``KGSearcher`` by construction — the
-same BM25 sidecar statistics (build_bm25_index), the same float64 +
-round(9) cosine, the same tie order (_score desc, uuid asc), the same
+same BM25 statistics (counted as build_bm25_index does), the same float64
++ round(9) cosine, the same tie order (_score desc, uuid asc), the same
 rerank kernels; asserted by tests/test_dataset_search.py.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pandas as pd
@@ -31,13 +42,12 @@ import ray.data as rd
 
 from graphiti_ray.pipelines.search import (
     BM25Index,
-    MethodConfig,
     SearchConfig,
     SearchResults,
     COMBINED_HYBRID_SEARCH_RRF,
     _tokens,
-    build_bm25_index,
     default_cross_encoder,
+    edge_distance_rerank,
     episode_mentions_rerank,
     maximal_marginal_relevance,
     node_distance_rerank,
@@ -45,34 +55,56 @@ from graphiti_ray.pipelines.search import (
 )
 from graphiti_ray.stages.embed import embed_texts
 
+# method ids of the scoring pass's ``_m`` column
+_BM25, _COSINE = 0, 1
 
-def _broadcast_uuid_filter(ds: rd.Dataset, uuids: list[str]) -> pd.DataFrame:
-    """One streaming pass keeping only rows whose uuid is in the (tiny)
-    candidate set; returns the ≤len(uuids) surviving rows as pandas."""
-    import ray
 
-    # broadcast an Arrow array so the filter is one vectorized pc.is_in probe
-    ref = ray.put(pa.array(sorted(set(uuids)), pa.string()))
+def _query_stats(ds: rd.Dataset, col: str, terms: list[str]) -> BM25Index:
+    """Pass 1: table-global BM25 stats of the query terms only."""
+    terms = sorted(set(terms))
 
-    def keep(batch: pa.Table, _ref=ref) -> pa.Table:
-        import pyarrow.compute as pc
-
-        from graphiti_ray.stages.link import _cached_lut
-
-        return batch.filter(
-            pc.is_in(batch.column("uuid"), value_set=_cached_lut(_ref))
+    def partial(batch: pa.Table) -> pa.Table:
+        # counted as build_bm25_index's partial: \w+ tokens of the lowercased
+        # text, nulls as "" — a query term (itself a \w+ token) is one of a
+        # text's tokens iff \bterm\b matches it
+        low = batch.column(col).to_pandas().fillna("").str.lower()
+        df = [int(low.str.contains(rf"\b{re.escape(t)}\b").sum()) for t in terms]
+        return pa.table(
+            {
+                "n": pa.array([len(low)], pa.int64()),
+                "len": pa.array([int(low.str.count(r"\w+").sum())], pa.int64()),
+                "df": pa.array([df], pa.list_(pa.int64())),
+            }
         )
 
-    return ds.map_batches(
-        keep, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()
+    rows = ds.select_columns([col]).map_batches(partial, batch_format="pyarrow").take_all()
+    n = sum(int(r["n"]) for r in rows)
+    total = sum(int(r["len"]) for r in rows)
+    dfs = np.sum([np.asarray(r["df"], np.int64) for r in rows], axis=0) if rows else []
+    return BM25Index(
+        n, total / n if n else 1.0, {t: int(d) for t, d in zip(terms, dfs) if d}
+    )
+
+
+def _block_top(batch: pa.Table, scores: np.ndarray, keep: np.ndarray, k: int):
+    """Row positions of the block's top ``k`` kept rows under (score desc,
+    uuid asc), and their scores."""
+    import pyarrow.compute as pc
+
+    idx = np.flatnonzero(keep)
+    cand = pa.table({"s": scores[idx], "uuid": batch.column("uuid").take(idx)})
+    order = pc.sort_indices(
+        cand, sort_keys=[("s", "descending"), ("uuid", "ascending")]
+    ).to_numpy()[:k]
+    return idx[order], scores[idx[order]]
 
 
 class KGDatasetSearcher:
     """Hybrid searcher whose scoring passes stream over Datasets.
 
     ``tables``: dict with Datasets for ``nodes`` / ``edges`` / ``episodes``
-    (optionally ``communities``). Same search surface as ``KGSearcher``.
+    (optionally ``communities``); a kind whose table is absent returns an
+    empty frame. Same search surface as ``KGSearcher``.
     """
 
     def __init__(
@@ -80,98 +112,64 @@ class KGDatasetSearcher:
     ):
         self.tables = tables
         self.cross_encoder = cross_encoder
-        self._bm25: dict[str, BM25Index] = {}
 
     def _ds(self, kind: str) -> rd.Dataset | None:
         name = {"edge": "edges", "node": "nodes", "episode": "episodes",
                 "community": "communities"}[kind]
         return self.tables.get(name)
 
-    def _index_for(self, kind: str, ds: rd.Dataset, col: str) -> BM25Index:
-        if kind not in self._bm25:
-            self._bm25[kind] = build_bm25_index(
-                ds.select_columns([col]), col
-            )
-        return self._bm25[kind]
-
-    # -- scoring passes (narrow output, sort+limit) --------------------------
-
-    def _bm25_rank(self, kind, ds, col, query, group_ids, flt, limit):
-        import ray
-
-        q = _tokens(query)
-        # broadcast only the query-scoped stats (O(|query|) bytes), never
-        # the vocabulary — works identically for the dict-resident and
-        # dataset-resident (corpus-scale) index variants
-        idx_ref = ray.put(self._index_for(kind, ds, col).subset(q))
-
-        def score(batch: pa.Table, _ref=idx_ref) -> pa.Table:
-            from graphiti_ray.pipelines.search import bm25_score_texts
-            from graphiti_ray.stages.link import _cached_lut
-
-            index = _cached_lut(_ref)
-            df = batch.to_pandas()
-            if group_ids:
-                df = df[df["group_id"].isin(group_ids)]
-            if flt is not None:
-                df = df[flt.mask(df, kind)]
-            s = bm25_score_texts(index, q, df[col])
-            out = pd.DataFrame({"uuid": df["uuid"], "_score": s.astype(float)})
-            out = out[out._score > 0]
-            return pa.Table.from_pandas(out, preserve_index=False).cast(
-                pa.schema([("uuid", pa.string()), ("_score", pa.float64())])
-            )
-
-        top = (
-            ds.map_batches(score, batch_format="pyarrow")
-            .sort(["_score", "uuid"], descending=[True, False])
-            .limit(limit)
-            .to_pandas()
+    def _score_pass(
+        self, kind, ds, schema, text_col, index, terms, cos_col, qv, group_ids, flt, k
+    ) -> pd.DataFrame:
+        """Pass 2: each block's top ``k`` full rows per method, tagged with
+        ``_m`` (method id) and ``_score``."""
+        out_schema = schema.append(pa.field("_m", pa.int8())).append(
+            pa.field("_score", pa.float64())
         )
-        # a zero-hit query yields an empty frame with NO columns — guard
-        # before the column lookup
-        return top["uuid"].tolist() if "uuid" in top.columns else []
-
-    def _cosine_rank(
-        self, kind, ds, emb_col, query_vec, group_ids, flt, limit, min_sim=0.0
-    ):
-        qv = query_vec.astype(np.float64)
-        qn = np.linalg.norm(qv) or 1.0
-        qn_vec = qv / qn
+        groups = pa.array(sorted(set(group_ids)), pa.string()) if group_ids else None
+        qn_vec = qv.astype(np.float64) / (np.linalg.norm(qv) or 1.0) if cos_col else None
 
         def score(batch: pa.Table) -> pa.Table:
-            df = batch.to_pandas()
-            if group_ids:
-                df = df[df["group_id"].isin(group_ids)]
-            if flt is not None:
-                df = df[flt.mask(df, kind)]
-            df = df[df[emb_col].notna()]
-            empty = pa.table(
-                {"uuid": pa.array([], pa.string()), "_score": pa.array([], pa.float64())}
-            )
-            if df.empty:
-                return empty
-            mat = np.stack(df[emb_col].map(lambda v: np.asarray(v, dtype=np.float64)))
-            norms = np.linalg.norm(mat, axis=1, keepdims=True)
-            norms[norms == 0] = 1
-            sims = np.round((mat / norms) @ qn_vec, 9)
-            out = pd.DataFrame({"uuid": df["uuid"], "_score": sims})
-            out = out[out._score >= min_sim]
-            return pa.Table.from_pandas(out, preserve_index=False).cast(
-                pa.schema([("uuid", pa.string()), ("_score", pa.float64())])
-            )
+            import pyarrow.compute as pc
 
-        top = (
-            ds.map_batches(score, batch_format="pyarrow")
-            .sort(["_score", "uuid"], descending=[True, False])
-            .limit(limit)
-            .to_pandas()
-        )
-        # a zero-hit query yields an empty frame with NO columns — guard
-        # before the column lookup
-        return top["uuid"].tolist() if "uuid" in top.columns else []
+            from graphiti_ray.pipelines.search import bm25_score_texts
+            from graphiti_ray.stages.embed import column_to_matrix
 
-    def _bfs_rank(self, ds, origin_uuids, limit):
+            if groups is not None:
+                batch = batch.filter(pc.is_in(batch.column("group_id"), value_set=groups))
+            if flt is not None and batch.num_rows:
+                mask = flt.mask(batch.to_pandas(), kind)
+                batch = batch.filter(pa.array(mask.to_numpy(dtype=bool)))
+            parts = []
+            if index is not None:
+                s = bm25_score_texts(index, terms, batch.column(text_col).to_pandas())
+                parts.append((_BM25, *_block_top(batch, s, s > 0, k)))
+            if qn_vec is not None:
+                ok = pc.is_valid(batch.column(cos_col)).to_numpy(zero_copy_only=False)
+                sims = np.full(batch.num_rows, -np.inf)
+                if ok.any():
+                    mat = column_to_matrix(batch.column(cos_col).filter(pa.array(ok)))
+                    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+                    norms[norms == 0] = 1
+                    sims[ok] = np.round((mat / norms) @ qn_vec, 9)
+                parts.append((_COSINE, *_block_top(batch, sims, sims >= 0.0, k)))
+            tables = [
+                batch.take(pos)
+                .append_column("_m", pa.array(np.full(len(pos), m, np.int8)))
+                .append_column("_score", pa.array(s, pa.float64()))
+                for m, pos, s in parts
+            ]
+            # one schema for every block, empty ones too: Ray warns when
+            # the blocks of one dataset disagree
+            return pa.concat_tables(tables).select(out_schema.names).cast(out_schema)
+
+        blocks = ds.map_batches(
+            score, batch_format="pyarrow", zero_copy_batch=True
+        ).iter_batches(batch_size=None, batch_format="pyarrow")
+        return pa.concat_tables([out_schema.empty_table(), *blocks]).to_pandas()
+
+    def _bfs_rows(self, ds, origin_uuids, limit) -> pd.DataFrame:
+        """Edges touching an origin node, first ``limit`` in table order."""
         import ray
 
         ref = ray.put(pa.array(sorted(set(origin_uuids)), pa.string()))
@@ -186,59 +184,62 @@ class KGDatasetSearcher:
                 pc.is_in(batch.column("subj_uuid"), value_set=origin),
                 pc.is_in(batch.column("obj_uuid"), value_set=origin),
             )
-            return batch.filter(mask).select(["uuid"])
+            return batch.filter(mask)
 
-        top = (
-            ds.map_batches(hit, batch_format="pyarrow", zero_copy_batch=True)
-            .limit(limit)
-            .to_pandas()
-        )
-        # a zero-hit query yields an empty frame with NO columns — guard
-        # before the column lookup
-        return top["uuid"].tolist() if "uuid" in top.columns else []
+        return ds.map_batches(
+            hit, batch_format="pyarrow", zero_copy_batch=True
+        ).limit(limit).to_pandas()
 
-    # -- sub-search (union of methods → rerank → hydrate) --------------------
+    # -- sub-search (passes → merge → rerank → hydrate) --------------------
 
     def _run(
         self, kind, ds, text_col, emb_col, cfg, query, qv, group_ids, flt,
         limit, center_uuid, min_score,
     ) -> pd.DataFrame:
         over = 2 * limit
-        schema_names = ds.schema().names
+        schema = ds.schema().base_schema
+        if not (emb_col and emb_col in schema.names):
+            emb_col = None
+        cos_col = emb_col if "cosine" in cfg.methods else None
+        terms = _tokens(query) if "bm25" in cfg.methods else []
+        # a query with no \w+ token scores 0 everywhere: skip both BM25 steps
+        index = _query_stats(ds, text_col, terms) if terms else None
+        rows = (
+            self._score_pass(
+                kind, ds, schema, text_col, index, terms, cos_col, qv,
+                group_ids, flt, over,
+            )
+            if index is not None or cos_col
+            else pd.DataFrame(columns=["uuid", "_m", "_score"])
+        )
         lists = []
-        if "bm25" in cfg.methods:
-            lists.append(
-                self._bm25_rank(kind, ds, text_col, query, group_ids, flt, over)
-            )
-        if "cosine" in cfg.methods and emb_col and emb_col in schema_names:
-            lists.append(
-                self._cosine_rank(kind, ds, emb_col, qv, group_ids, flt, over)
-            )
+        for m, on in ((_BM25, "bm25" in cfg.methods), (_COSINE, cos_col)):
+            if on:  # the merge: a global sort + limit of the block lists
+                top = rows[rows["_m"] == m].sort_values(
+                    ["_score", "uuid"], ascending=[False, True], kind="mergesort"
+                )
+                lists.append(top["uuid"].head(over).tolist())
+        parts = [rows.drop(columns=["_m", "_score"])]
         if "bfs" in cfg.methods and cfg.bfs_origin_uuids and kind == "edge":
-            lists.append(self._bfs_rank(ds, cfg.bfs_origin_uuids, over))
-
+            hits = self._bfs_rows(ds, cfg.bfs_origin_uuids, over)
+            lists.append(hits["uuid"].tolist() if "uuid" in hits.columns else [])
+            parts.append(hits)
+        # every rerank kernel returns a subset of the candidates, so these
+        # rows hydrate the result without another pass over the table
+        pool = pd.concat(parts, ignore_index=True)
+        by_uuid = pool.drop_duplicates("uuid").set_index("uuid", drop=False)
         cand = rrf(lists, min_score=0)  # candidate pool in rrf order
-        if cfg.reranker == "rrf":
-            ranked = rrf(lists, min_score=min_score)
-        elif cfg.reranker == "mmr":
-            pool = sorted(set().union(*map(set, lists))) if lists else []
-            sub = self._hydrate(ds, pool) if pool else pd.DataFrame()
-            vecs = (
-                {
-                    r.uuid: np.asarray(getattr(r, emb_col), dtype=np.float64)
-                    for r in sub.itertuples(index=False)
-                }
-                if emb_col and emb_col in schema_names and len(sub)
-                else {}
-            )
+        sub = by_uuid.loc[cand]
+        if cfg.reranker == "mmr":
+            pool_uuids = sorted(set().union(*map(set, lists)))
+            vecs = {
+                u: np.asarray(v, dtype=np.float64)
+                for u, v in by_uuid.loc[pool_uuids, emb_col].items()
+            } if emb_col and pool_uuids else {}
             ranked = maximal_marginal_relevance(qv, vecs, cfg.mmr_lambda, min_score)
         elif cfg.reranker == "episode_mentions":
-            sub = self._hydrate(ds, cand) if cand else pd.DataFrame()
-            counts = (
-                dict(zip(sub["uuid"], sub["episode_count"]))
-                if "episode_count" in sub
-                else dict(zip(sub.get("uuid", []), sub.get("mention_count", [])))
-            )
+            col = "episode_count" if "episode_count" in sub else "mention_count"
+            counts = dict(zip(sub["uuid"], sub[col])) if col in sub else {}
             ranked = episode_mentions_rerank(cand, counts)
         elif cfg.reranker == "node_distance":
             assert center_uuid, "node_distance reranker needs center_node_uuid"
@@ -247,27 +248,10 @@ class KGDatasetSearcher:
             ddf = node_distances(self.tables["edges"], center_uuid)
             dist = dict(zip(ddf["entity_uuid"], ddf["depth"]))
             if kind == "edge":
-                sub = self._hydrate(ds, cand) if cand else pd.DataFrame()
-                edge_d = {
-                    r.uuid: min(
-                        dist.get(r.subj_uuid, float("inf")),
-                        dist.get(r.obj_uuid, float("inf")),
-                    )
-                    for r in sub.itertuples(index=False)
-                }
-
-                def edge_score(u):
-                    d = edge_d.get(u, float("inf"))
-                    return 1.0 / max(d, 0.1) if d != float("inf") else 0.0
-
-                ranked = sorted(
-                    (u for u in cand if edge_score(u) >= min_score),
-                    key=lambda u: (edge_d.get(u, float("inf")), u),
-                )
+                ranked = edge_distance_rerank(cand, sub, dist, min_score)
             else:
                 ranked = node_distance_rerank(cand, dist, center_uuid, min_score)
         elif cfg.reranker == "cross_encoder":
-            sub = self._hydrate(ds, cand) if cand else pd.DataFrame()
             passages = sub[text_col].fillna("").tolist() if len(sub) else []
             scores = (self.cross_encoder or default_cross_encoder)(query, passages)
             order = sorted(
@@ -275,20 +259,14 @@ class KGDatasetSearcher:
                 key=lambda kv: (-kv[1], kv[0]),
             )
             ranked = [u for u, s in order if s >= min_score]
-        else:
+        else:  # rrf, and the fallback for an unknown reranker
             ranked = rrf(lists, min_score=min_score)
 
         ranked = ranked[:limit]
         if not ranked:
             # keep the table's columns so callers can select on empty results
-            return pd.DataFrame(columns=schema_names)
-        out = self._hydrate(ds, ranked)
-        pos = {u: i for i, u in enumerate(ranked)}
-        out["_rank"] = out["uuid"].map(pos)
-        return out.sort_values("_rank").drop(columns=["_rank"]).reset_index(drop=True)
-
-    def _hydrate(self, ds: rd.Dataset, uuids: list[str]) -> pd.DataFrame:
-        return _broadcast_uuid_filter(ds, uuids)
+            return pd.DataFrame(columns=schema.names)
+        return by_uuid.loc[ranked].reset_index(drop=True)
 
     def search(
         self,

@@ -66,6 +66,22 @@ def _filter_groups(ds: rd.Dataset, groups: frozenset, keep: bool) -> rd.Dataset:
     return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
 
 
+def _check_embeddings(out_root: str, embeddings: bool) -> None:
+    import pyarrow.parquet as pq
+
+    from graphiti_ray.state.checkpoint import is_complete, table_files
+
+    files = table_files(out_root, "edges") if is_complete(out_root, "edges") else []
+    stored = bool(files) and "fact_embedding" in pq.read_schema(files[0]).names
+    if files and stored != embeddings:
+        raise ValueError(
+            f"add_pages(embeddings={embeddings}) disagrees with the edges table "
+            f"under {out_root}, which was written "
+            f"{'with' if stored else 'without'} fact_embedding; "
+            f"pass embeddings={stored}"
+        )
+
+
 def add_pages(
     out_root: str,
     new_pages: rd.Dataset,
@@ -80,7 +96,12 @@ def add_pages(
     nothing and simply recomputes the derived tables — the MERGE-upsert
     semantics of the reference's save path (bulk_utils.py:93-167). Derived
     tables are swapped one at a time; a crash between swaps leaves them
-    individually consistent and the rerun converges."""
+    individually consistent and the rerun converges.
+
+    Raises ``ValueError`` when ``embeddings`` disagrees with the stored
+    edges table (``fact_embedding`` present or not): appending would
+    leave a table of mixed schemas that later searches cannot read."""
+    _check_embeddings(out_root, embeddings)
     new_eps = episodes_dataset(new_pages, run_ts=run_ts).materialize()
     affected = frozenset(
         r["group_id"] for r in new_eps.select_columns(["group_id"]).take_all()

@@ -13,9 +13,15 @@ including the temporal invalidation pass that bulk mode skips
                       ├────────── ray.put broadcast ───────┤
                       ▼                                    ▼
         nodes ←─ gb  │  mention_edges ←─ mb+distinct   resolved triples
-                                                           │ gb(edge key) merge
+                                                           │ sorted-run merge
+                                                           │ (edge key)
                                                            ▼
-                                     edges ←─ gb(inval key) temporal sweep
+                         edges ←─ sorted-lead temporal sweep (inval key)
+
+The merge is a per-batch combiner, one range sort and a per-block
+finalize over complete key runs (``ops.sorted_run_map``); the sweep is
+``lead(valid_at)`` per invalidation key (``ops.sorted_lead``): one range
+sort plus a block-boundary exchange, no per-key grouping.
 
 Join strategy: the canonical map is vocabulary-sized (one row per distinct
 (host, surface)), so it is broadcast via ``ray.put`` and applied inside

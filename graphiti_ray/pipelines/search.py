@@ -363,6 +363,31 @@ def node_distance_rerank(
     return sorted(kept, key=lambda u: (key(u), u))
 
 
+def edge_distance_rerank(
+    uuids: list[str],
+    edges: pd.DataFrame,
+    distances: dict[str, int],
+    min_score: float = 0.0,
+) -> list[str]:
+    """Edge form of :func:`node_distance_rerank`: an edge (a row of
+    ``edges``, with uuid / subj_uuid / obj_uuid) sits at its nearer
+    endpoint's distance; unreachable edges score 0."""
+    inf = float("inf")
+    edge_d = {
+        r.uuid: min(distances.get(r.subj_uuid, inf), distances.get(r.obj_uuid, inf))
+        for r in edges.itertuples(index=False)
+    }
+
+    def score(u):
+        d = edge_d.get(u, inf)
+        return 1.0 / max(d, 0.1) if d != inf else 0.0
+
+    return sorted(
+        (u for u in uuids if score(u) >= min_score),
+        key=lambda u: (edge_d.get(u, inf), u),
+    )
+
+
 def default_cross_encoder(query: str, passages: list[str]) -> list[float]:
     """Deterministic stand-in for a cross-encoder model: cosine between
     hashing-trick embeddings of query and passage. The real-model seam is
@@ -714,21 +739,8 @@ class KGSearcher:
             cand = rrf(lists)
             dist = self._distances(center_uuid)
             if kind == "edge":
-                edge_d = {
-                    r.uuid: min(
-                        dist.get(r.subj_uuid, float("inf")),
-                        dist.get(r.obj_uuid, float("inf")),
-                    )
-                    for r in df[df["uuid"].isin(cand)].itertuples(index=False)
-                }
-
-                def edge_score(u):
-                    d = edge_d.get(u, float("inf"))
-                    return 1.0 / max(d, 0.1) if d != float("inf") else 0.0
-
-                ranked = sorted(
-                    (u for u in cand if edge_score(u) >= min_score),
-                    key=lambda u: (edge_d.get(u, float("inf")), u),
+                ranked = edge_distance_rerank(
+                    cand, df[df["uuid"].isin(cand)], dist, min_score
                 )
             else:
                 ranked = node_distance_rerank(cand, dist, center_uuid, min_score)

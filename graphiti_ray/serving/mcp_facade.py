@@ -42,6 +42,16 @@ _EPISODE_HTML = (
 
 DEFAULT_GROUP = "mcp.example.com"
 
+_PAGE_SCHEMA = pa.schema(
+    [
+        ("url", pa.string()),
+        ("warc_ts", pa.timestamp("us")),
+        ("html", pa.binary()),
+        ("text", pa.string()),
+        ("lang", pa.string()),
+    ]
+)
+
 
 def episode_to_page(
     name: str,
@@ -91,7 +101,9 @@ class GraphitiFacade:
 
     out_root: str
     run_ts: datetime = DEFAULT_RUN_TS
-    embeddings: bool = False
+    # run_kg's default: add_pages refuses a flag that disagrees with the
+    # stored edges table, rather than writing a table of mixed schemas
+    embeddings: bool = True
     _pending: list[dict] = field(default_factory=list)
     _seq: int = 0
 
@@ -134,20 +146,8 @@ class GraphitiFacade:
             by_group.setdefault(g, []).append(item["row"])
         total = 0
         for g in order:  # sequential per group, groups in arrival order
-            pages = rd.from_items(by_group[g]).map_batches(
-                lambda t: t.cast(
-                    pa.schema(
-                        [
-                            ("url", pa.string()),
-                            ("warc_ts", pa.timestamp("us")),
-                            ("html", pa.binary()),
-                            ("text", pa.string()),
-                            ("lang", pa.string()),
-                        ]
-                    )
-                ),
-                batch_format="pyarrow",
-            )
+            # one block per group, so each append writes one file per table
+            pages = rd.from_arrow(pa.Table.from_pylist(by_group[g], schema=_PAGE_SCHEMA))
             stats = add_pages(
                 self.out_root, pages, run_ts=self.run_ts, embeddings=self.embeddings
             )
@@ -157,11 +157,14 @@ class GraphitiFacade:
 
     # -- tables ---------------------------------------------------------------
 
-    def _tables(self) -> dict[str, rd.Dataset]:
+    def _tables(
+        self, names=("nodes", "edges", "episodes", "mention_edges")
+    ) -> dict[str, rd.Dataset]:
+        """Lazy scans of the completed tables among ``names``."""
         from graphiti_ray.state.checkpoint import is_complete, read_table
 
         out = {}
-        for name in ["nodes", "edges", "episodes", "mention_edges"]:
+        for name in names:
             if is_complete(self.out_root, name):
                 key = "mentions" if name == "mention_edges" else name
                 out[key] = read_table(self.out_root, name)
@@ -175,7 +178,7 @@ class GraphitiFacade:
         from graphiti_ray.pipelines.dataset_search import KGDatasetSearcher
         from graphiti_ray.pipelines.search import NODE_HYBRID_SEARCH_RRF, SearchConfig
 
-        t = self._tables()
+        t = self._tables(["nodes"])
         if "nodes" not in t:
             return _err("graph not built")
         cfg = SearchConfig(
@@ -203,7 +206,7 @@ class GraphitiFacade:
         from graphiti_ray.pipelines.dataset_search import KGDatasetSearcher
         from graphiti_ray.pipelines.search import EDGE_HYBRID_SEARCH_RRF, SearchConfig
 
-        t = self._tables()
+        t = self._tables(["edges"])
         if "edges" not in t:
             return _err("graph not built")
         cfg = SearchConfig(
@@ -238,7 +241,7 @@ class GraphitiFacade:
     def get_entity_edge(self, uuid: str) -> dict:
         from graphiti_ray.pipelines.maintenance import get_by_uuids
 
-        t = self._tables()
+        t = self._tables(["edges"])
         if "edges" not in t:
             return _err("graph not built")
         rows = get_by_uuids(t["edges"], [uuid]).take_all()
@@ -254,7 +257,7 @@ class GraphitiFacade:
     def get_episodes(
         self, group_id: str | None = None, last_n: int = 10
     ) -> list[dict] | dict:
-        t = self._tables()
+        t = self._tables(["episodes"])
         if "episodes" not in t:
             return _err("graph not built")
         eps = t["episodes"]
@@ -282,7 +285,7 @@ class GraphitiFacade:
         from graphiti_ray.pipelines.maintenance import get_by_uuids
         from graphiti_ray.state.checkpoint import read_table, replace_table
 
-        t = self._tables()
+        t = self._tables(["edges"])
         if "edges" not in t:
             return _err("graph not built")
         if not get_by_uuids(t["edges"], [uuid]).take_all():
@@ -332,7 +335,7 @@ class GraphitiFacade:
 
         group = group_id or DEFAULT_GROUP
         node_uuid = uuid or entity_uuid(group, name)
-        t = self._tables()
+        t = self._tables(["nodes"])
         if "nodes" not in t:
             return _err("graph not built")
         nodes = t["nodes"]

@@ -170,7 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--root", required=True, help="checkpointed KG root dir")
     ap.add_argument("--host", default="127.0.0.1")
     ap.add_argument("--port", type=int, default=8808)
-    ap.add_argument("--embeddings", action="store_true")
+    ap.add_argument(
+        "--embeddings", action=argparse.BooleanOptionalAction, default=True
+    )
     args = ap.parse_args(argv)
 
     from graphiti_ray.serving.mcp_facade import GraphitiFacade

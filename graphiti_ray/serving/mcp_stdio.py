@@ -141,7 +141,10 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description="graphiti-ray MCP stdio server")
     ap.add_argument("--root", required=True, help="checkpointed KG root dir")
     ap.add_argument(
-        "--embeddings", action="store_true", help="embed served episodes"
+        "--embeddings",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="embed served episodes (must match how the KG root was built)",
     )
     args = ap.parse_args(argv)
 

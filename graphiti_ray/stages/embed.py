@@ -42,7 +42,8 @@ def column_to_matrix(col, dtype=np.float64) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), dtype=dtype)
     if pa.types.is_fixed_size_list(col.type):
-        vals = col.values.to_numpy(zero_copy_only=False)
+        # flatten, not .values: .values ignores a sliced array's offset
+        vals = col.flatten().to_numpy(zero_copy_only=False)
         return vals.reshape(n, col.type.list_size).astype(dtype, copy=False)
     offsets = col.offsets.to_numpy(zero_copy_only=False)
     widths = np.diff(offsets)

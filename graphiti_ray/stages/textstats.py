@@ -1774,8 +1774,9 @@ class FleschKincaid:
       - syllables = per word, vowel-group count ``[aeiouy]+``, min 1.
     The grade ``0.39·W/S + 11.8·Syl/W − 15.59`` is emitted as
     ``fk_micro = (1e6·(39·W² + 1180·Syl·S − 1559·S·W)) // (100·S·W)``
-    — all-integer floor division (Python floor == DuckDB ``//`` floor,
-    negative-numerator safe), no float lattice needed. Docs with zero
+    — all-integer division truncating toward zero, as DuckDB's ``//``
+    does (Python's ``//`` floors instead, which differs by one on a
+    negative, inexact grade), no float lattice needed. Docs with zero
     words are dropped (both sides)."""
 
     def __init__(self, text_col: str = "text", id_col: str = "doc_id"):
@@ -1804,7 +1805,8 @@ class FleschKincaid:
         syl = np.asarray(nsyl, np.int64)
         num = 1_000_000 * (39 * w * w + 1180 * syl * s - 1559 * s * w)
         den = 100 * s * w
-        fk = np.floor_divide(num, den)
+        # den > 0, so truncation is the floor of |num| with num's sign
+        fk = np.sign(num) * (np.abs(num) // den)
         return pa.table(
             {
                 "doc_id": ids.take(pa.array(keep_idx, pa.int64())),

@@ -290,32 +290,27 @@ def table_rows(root: str, name: str) -> int | None:
         return None
 
 
-def read_table(root: str, name: str, columns: list[str] | None = None) -> rd.Dataset:
-    # explicit file list: the directory also holds MANIFEST.json + _SUCCESS;
-    # one level of <col>=<val> partition subtrees is included transparently
-    d = table_dir(root, name)
-    files = sorted(
+def table_files(root: str, name: str) -> list[str]:
+    """A table's parquet part files, sorted. An explicit file list, since
+    the directory also holds MANIFEST.json + _SUCCESS; one level of
+    <col>=<val> partition subtrees is included transparently."""
+    return sorted(
         os.path.join(dirpath, f)
-        for dirpath, _dirs, fnames in os.walk(d)
+        for dirpath, _dirs, fnames in os.walk(table_dir(root, name))
         for f in fnames
         if f.endswith(".parquet")
     )
-    return rd.read_parquet(files, columns=columns)
+
+
+def read_table(root: str, name: str, columns: list[str] | None = None) -> rd.Dataset:
+    return rd.read_parquet(table_files(root, name), columns=columns)
 
 
 def read_table_pandas(root: str, name: str, columns: list[str] | None = None):
     """Driver-local pandas read for SMALL checkpointed tables (vocabulary-
     sized sidecars like canonical_map): plain pyarrow, no Ray execution.
-    Never call on a corpus-sized table. Same one-level partition-subtree
-    walk as ``read_table``."""
-    d = table_dir(root, name)
-    files = sorted(
-        os.path.join(dirpath, f)
-        for dirpath, _dirs, fnames in os.walk(d)
-        for f in fnames
-        if f.endswith(".parquet")
-    )
+    Never call on a corpus-sized table. Same files as ``read_table``."""
     import pyarrow as pa
 
-    tables = [pq.read_table(f, columns=columns) for f in files]
+    tables = [pq.read_table(f, columns=columns) for f in table_files(root, name)]
     return pa.concat_tables(tables).to_pandas()

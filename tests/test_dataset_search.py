@@ -3,17 +3,29 @@ actor-pool cross-encoder stage (ST3/ST4)."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
-from graphiti_ray.pipelines.dataset_search import KGDatasetSearcher
+import ray.data as rd
+
+from graphiti_ray.pipelines.dataset_search import KGDatasetSearcher, _query_stats
 from graphiti_ray.pipelines.search import (
     COMBINED_HYBRID_SEARCH_CROSS_ENCODER,
+    COMBINED_HYBRID_SEARCH_MMR,
     COMBINED_HYBRID_SEARCH_RRF,
     EDGE_HYBRID_SEARCH_EPISODE_MENTIONS,
+    EDGE_HYBRID_SEARCH_NODE_DISTANCE,
+    EDGE_HYBRID_SEARCH_RRF,
+    NODE_HYBRID_SEARCH_NODE_DISTANCE,
     KGSearcher,
+    MethodConfig,
+    SearchConfig,
+    build_bm25_index,
     cross_encoder_rerank,
     default_cross_encoder,
 )
+
+QUERY = "Alice Smith works at"
 
 
 @pytest.fixture(scope="module")
@@ -26,42 +38,159 @@ def kg_tables(ray_session):
     return {k: v.materialize() for k, v in tables.items()}
 
 
-def _pandas_searcher(tables):
-    return KGSearcher.from_tables(tables)
+@pytest.fixture(scope="module")
+def blocky(kg_tables):
+    """The same tables sorted by group and cut into 8 blocks, so most
+    blocks hold no row of any one group."""
+    return {
+        k: v.sort("group_id").repartition(8).materialize() if k != "mentions" else v
+        for k, v in kg_tables.items()
+    }
 
 
-@pytest.mark.parametrize(
+@pytest.fixture(scope="module")
+def group(kg_tables):
+    """The group of the top unscoped hit (deterministic)."""
+    top = KGSearcher.from_tables(kg_tables).search(QUERY, COMBINED_HYBRID_SEARCH_RRF)
+    return top.edges["group_id"].iloc[0]
+
+
+def _assert_same(a, b, kinds=("edges", "nodes", "episodes")):
+    for kind in kinds:
+        pa_df, ds_df = getattr(a, kind), getattr(b, kind)
+        assert list(pa_df.get("uuid", [])) == list(ds_df.get("uuid", [])), kind
+
+
+def _blocks(ds):
+    return list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+
+
+CONFIGS = pytest.mark.parametrize(
     "config",
     [
         COMBINED_HYBRID_SEARCH_RRF,
         COMBINED_HYBRID_SEARCH_CROSS_ENCODER,
         EDGE_HYBRID_SEARCH_EPISODE_MENTIONS,
+        COMBINED_HYBRID_SEARCH_MMR,
     ],
-    ids=["rrf", "cross_encoder", "episode_mentions"],
+    ids=["rrf", "cross_encoder", "episode_mentions", "mmr"],
 )
+
+
+@CONFIGS
 def test_dataset_search_matches_pandas(ray_session, kg_tables, config):
-    query = "Alice Smith works at"
-    a = _pandas_searcher(kg_tables).search(query, config)
-    b = KGDatasetSearcher(kg_tables).search(query, config)
-    for kind in ("edges", "nodes", "episodes"):
-        pa_df, ds_df = getattr(a, kind), getattr(b, kind)
-        assert list(pa_df.get("uuid", [])) == list(ds_df.get("uuid", [])), kind
+    a = KGSearcher.from_tables(kg_tables).search(QUERY, config)
+    b = KGDatasetSearcher(kg_tables).search(QUERY, config)
+    _assert_same(a, b)
 
 
-def test_dataset_search_group_scoped(ray_session, kg_tables):
-    query = "Alice Smith works at"
-    # deterministic group choice: the top unscoped hit's group (block order
-    # of take(1) varies across executions)
-    top = _pandas_searcher(kg_tables).search(query, COMBINED_HYBRID_SEARCH_RRF)
-    groups = [top.edges["group_id"].iloc[0]]
-    a = _pandas_searcher(kg_tables).search(
-        query, COMBINED_HYBRID_SEARCH_RRF, group_ids=groups
+@CONFIGS
+@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "group"])
+def test_dataset_search_blocks_match_pandas(
+    ray_session, kg_tables, blocky, group, config, scoped
+):
+    """Parity on 8 blocks, most without a row of the searched group."""
+    groups = [group] if scoped else None
+    a = KGSearcher.from_tables(kg_tables).search(QUERY, config, group_ids=groups)
+    b = KGDatasetSearcher(blocky).search(QUERY, config, group_ids=groups)
+    _assert_same(a, b)
+    if scoped:
+        assert len(b.edges) and set(b.edges["group_id"]) == {group}
+
+
+def test_dataset_search_filter_matches_pandas(ray_session, kg_tables, blocky):
+    from graphiti_ray.pipelines.search import DateFilter, SearchFilters
+
+    edges = kg_tables["edges"].to_pandas()
+    flt = SearchFilters(
+        edge_types=sorted(set(edges["pred"]))[:3],
+        valid_at=[[DateFilter(edges["valid_at"].median(), ">=")]],
+    )
+    a = KGSearcher.from_tables(kg_tables).search(
+        QUERY, COMBINED_HYBRID_SEARCH_RRF, search_filter=flt
+    )
+    b = KGDatasetSearcher(blocky).search(QUERY, COMBINED_HYBRID_SEARCH_RRF, search_filter=flt)
+    _assert_same(a, b)
+    assert len(b.edges) and set(b.edges["pred"]) <= set(flt.edge_types)
+
+
+def test_blocky_tables_have_blocks_without_the_group(blocky, group):
+    blocks = _blocks(blocky["edges"])
+    assert len(blocks) >= 7
+    assert any(group not in set(t.column("group_id").to_pylist()) for t in blocks)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [EDGE_HYBRID_SEARCH_NODE_DISTANCE, NODE_HYBRID_SEARCH_NODE_DISTANCE],
+    ids=["edges", "nodes"],
+)
+def test_dataset_search_node_distance(ray_session, kg_tables, blocky, group, config):
+    a0 = KGSearcher.from_tables(kg_tables).search(
+        QUERY, COMBINED_HYBRID_SEARCH_RRF, group_ids=[group]
+    )
+    center = a0.edges["subj_uuid"].iloc[0]
+    a = KGSearcher.from_tables(kg_tables).search(QUERY, config, center_node_uuid=center)
+    b = KGDatasetSearcher(blocky).search(QUERY, config, center_node_uuid=center)
+    _assert_same(a, b)
+
+
+def test_dataset_search_zero_hits(ray_session, kg_tables, blocky):
+    # episodes search is BM25-only: a query no text contains finds nothing
+    a = KGSearcher.from_tables(kg_tables).search("xyzzyq qqvvz", COMBINED_HYBRID_SEARCH_RRF)
+    b = KGDatasetSearcher(blocky).search("xyzzyq qqvvz", COMBINED_HYBRID_SEARCH_RRF)
+    _assert_same(a, b)
+    assert b.episodes.empty and "content" in b.episodes.columns
+    # an unknown group finds nothing by any method
+    b = KGDatasetSearcher(blocky).search(QUERY, COMBINED_HYBRID_SEARCH_RRF, group_ids=["no.such"])
+    assert b.edges.empty and list(b.edges.columns) == blocky["edges"].schema().names
+
+
+def _tie_table(n=12, dim=64):
+    """``n`` edges with the same fact and embedding (equal scores under
+    every method), uuids in scrambled order."""
+    uuids = [f"e{i:02d}" for i in np.random.default_rng(0).permutation(n)]
+    vec = np.ones(dim) / np.sqrt(dim)
+    return pa.table(
+        {
+            "uuid": uuids,
+            "group_id": ["g"] * n,
+            "fact": ["alpha beta"] * n,
+            "fact_embedding": pa.FixedSizeListArray.from_arrays(
+                pa.array(np.tile(vec, n), pa.float64()), dim
+            ),
+        }
+    )
+
+
+def test_exact_score_ties_break_by_uuid(ray_session):
+    t = _tie_table()
+    ds = rd.from_arrow([t.slice(i, 3) for i in range(0, len(t), 3)])
+    cfg = SearchConfig(edge_config=MethodConfig(), node_config=None, episode_config=None, limit=3)
+    b = KGDatasetSearcher({"edges": ds}).search("alpha", cfg)
+    a = KGSearcher(pd.DataFrame(), t.to_pandas(), pd.DataFrame()).search("alpha", cfg)
+    assert list(b.edges["uuid"]) == ["e00", "e01", "e02"] == list(a.edges["uuid"])
+
+
+def test_query_stats_equal_build_bm25_index(ray_session):
+    t = _tie_table()
+    t = t.set_column(2, "fact", pa.array(["Alpha beta, alpha!", "beta gamma", None] * 4))
+    ds = rd.from_arrow([t.slice(i, 5) for i in range(0, len(t), 5)])
+    terms = ["alpha", "beta", "delta", "alpha"]
+    got = _query_stats(ds, "fact", terms)
+    want = build_bm25_index(ds.select_columns(["fact"]), "fact").subset(terms)
+    assert (got.n, got.avg_len, got.df) == (want.n, want.avg_len, want.df)
+
+
+def test_dataset_search_group_scoped(ray_session, kg_tables, group):
+    a = KGSearcher.from_tables(kg_tables).search(
+        QUERY, EDGE_HYBRID_SEARCH_RRF, group_ids=[group]
     )
     b = KGDatasetSearcher(kg_tables).search(
-        query, COMBINED_HYBRID_SEARCH_RRF, group_ids=groups
+        QUERY, EDGE_HYBRID_SEARCH_RRF, group_ids=[group]
     )
     assert list(a.edges["uuid"]) == list(b.edges["uuid"])
-    assert set(b.edges["group_id"]) <= set(groups)
+    assert set(b.edges["group_id"]) <= {group}
 
 
 def test_cross_encoder_stage_actor_pool(ray_session, kg_tables):

@@ -5,6 +5,7 @@ minus the network transport this environment cannot host)."""
 import pytest
 
 from graphiti_ray.serving.mcp_facade import GraphitiFacade, episode_to_page
+from tests.test_boilerplate import SF
 
 
 @pytest.fixture(scope="module")
@@ -12,7 +13,8 @@ def kg_root(ray_session, tmp_path_factory):
     root = str(tmp_path_factory.mktemp("mcp_kg"))
     from graphiti_ray.pipelines.kg import run_kg
 
-    run_kg("/root/testdata/sf0.001", root, embeddings=False)
+    # run_kg's default embeddings, which the facade's default matches
+    run_kg(SF, root)
     return root
 
 
@@ -306,3 +308,60 @@ def test_http_sse_transport_roundtrip(kg_root):
         sse.close()
     finally:
         srv.shutdown()
+
+
+def _copy(kg_root, tmp_path) -> str:
+    import shutil
+
+    root = str(tmp_path / "kg")
+    shutil.copytree(kg_root, root)
+    return root
+
+
+def test_default_facade_ingest_then_search_facts(kg_root, ray_session, tmp_path):
+    """The default facade writes what run_kg wrote (fact embeddings), so a
+    search right after an ingest reads one edges schema and finds the
+    new fact."""
+    f = GraphitiFacade(_copy(kg_root, tmp_path))
+    f.add_episode("ingest", "Ivy Moss works at Umbrella Corp.", group_id="ingest.example.com")
+    assert "processed 1" in f.process_pending()["message"]
+    facts = f.search_facts("Ivy Moss works at Umbrella Corp.", group_ids=["ingest.example.com"])
+    assert "Ivy Moss works at Umbrella Corp." in {x["fact"] for x in facts["facts"]}
+
+
+def test_process_pending_writes_one_file_per_group(kg_root, ray_session, tmp_path):
+    from graphiti_ray.state.checkpoint import table_files
+
+    root = _copy(kg_root, tmp_path)
+    f = GraphitiFacade(root)
+    before = len(table_files(root, "episodes"))
+    for k in range(4):
+        f.add_episode(f"e{k}", f"Person{k} Lee likes Chess.", group_id="one.example.com")
+    assert "processed 4" in f.process_pending()["message"]
+    assert len(table_files(root, "episodes")) == before + 1
+
+
+def test_add_pages_rejects_mismatched_embeddings(kg_root, ray_session, tmp_path):
+    from graphiti_ray.state.checkpoint import table_files
+
+    root = _copy(kg_root, tmp_path)
+    files = table_files(root, "edges")
+    f = GraphitiFacade(root, embeddings=False)
+    f.add_episode("x", "Jan Roe likes Golf.")
+    with pytest.raises(ValueError, match="fact_embedding"):
+        f.process_pending()
+    assert table_files(root, "edges") == files  # nothing was written
+
+
+def test_search_runs_no_shuffle(kg_root, ray_session, tmp_path, monkeypatch):
+    """search_facts / search_nodes never sort or group a Dataset."""
+    import ray.data as rd
+
+    def boom(*a, **k):
+        raise AssertionError("shuffle on the search path")
+
+    f = GraphitiFacade(_copy(kg_root, tmp_path))
+    monkeypatch.setattr(rd.Dataset, "sort", boom)
+    monkeypatch.setattr(rd.Dataset, "groupby", boom)
+    assert f.search_facts("Alice Smith works at")["facts"]
+    assert any(n["name"] == "Alice Smith" for n in f.search_nodes("Alice Smith")["nodes"])

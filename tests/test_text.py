@@ -142,3 +142,20 @@ def test_embed_counts_polynomial_hash_parity():
     assert abs(np.linalg.norm(vecs[0]) - 1.0) < 1e-12
     assert (vecs[0] == vecs[1]).all()
     assert (vecs[2] == 0).all()
+
+
+def test_column_to_matrix_respects_slice_offset():
+    """A sliced list column (a Ray batch can be a zero-copy slice of a
+    block) yields its own rows, not the first rows of the backing buffer."""
+    import numpy as np
+    import pyarrow as pa
+
+    from graphiti_ray.stages.embed import column_to_matrix
+
+    vals = np.arange(12.0)
+    for col in (
+        pa.FixedSizeListArray.from_arrays(pa.array(vals), 3),
+        pa.ListArray.from_arrays(pa.array([0, 3, 6, 9, 12], pa.int32()), pa.array(vals)),
+    ):
+        got = column_to_matrix(col.slice(2, 2))
+        assert got.tolist() == vals[6:].reshape(2, 3).tolist()

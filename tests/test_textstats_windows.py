@@ -1991,7 +1991,10 @@ def test_docs_mi_independence_zero(ray_session):
 
 def test_readability_fk_hand(ray_session):
     """Hand-counted Flesch–Kincaid lattice: 'Hello world. It is big!' →
-    W=5, S=2, Syl=6, grade −0.455 → fk_micro −455000; empty docs drop."""
+    W=5, S=2, Syl=6, grade −0.455 → fk_micro −455000; empty docs drop.
+    'a. . . . . . .' → W=1, S=7, Syl=1: −2614·10⁶ / 700 = −3734285.7…,
+    which DuckDB's ``//`` truncates to −3734285 (a floor would give
+    −3734286)."""
     import ray.data as rd_
 
     from graphiti_ray.stages.textstats import readability_fk
@@ -2000,13 +2003,17 @@ def test_readability_fk_hand(ray_session):
         [
             {"doc_id": 1, "text": "Hello world. It is big!"},
             {"doc_id": 2, "text": "   "},
+            {"doc_id": 3, "text": "a. . . . . . ."},
         ]
     )
-    rows = readability_fk(docs).take_all()
-    assert len(rows) == 1
+    rows = sorted(readability_fk(docs).take_all(), key=lambda r: r["doc_id"])
+    assert [r["doc_id"] for r in rows] == [1, 3]
     r = rows[0]
     assert (r["n_words"], r["n_sentences"], r["n_syllables"]) == (5, 2, 6)
     assert r["fk_micro"] == -455_000
+    r = rows[1]
+    assert (r["n_words"], r["n_sentences"], r["n_syllables"]) == (1, 7, 1)
+    assert r["fk_micro"] == -3_734_285
 
 
 def test_skipgram_pairs_hand(ray_session):
