@@ -50,17 +50,19 @@ from graphiti_ray.state.checkpoint import (
 )
 
 
-def _filter_groups(ds: rd.Dataset, groups: frozenset, keep: bool) -> rd.Dataset:
+def _filter_in(ds: rd.Dataset, col: str, values: frozenset, keep: bool) -> rd.Dataset:
+    """Rows whose ``col`` is (``keep``) or is not in ``values``: the value
+    set ships once as a broadcast Arrow array, probed with ``pc.is_in``."""
     import ray
 
-    ref = ray.put(pa.array(sorted(groups), pa.string()))
+    ref = ray.put(pa.array(sorted(values), pa.string()))
 
     def f(batch: pa.Table, _ref=ref) -> pa.Table:
         import pyarrow.compute as pc
 
         from graphiti_ray.stages.link import _cached_lut
 
-        mask = pc.is_in(batch.column("group_id"), value_set=_cached_lut(_ref))
+        mask = pc.is_in(batch.column(col), value_set=_cached_lut(_ref))
         return batch.filter(mask if keep else pc.invert(mask))
 
     return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
@@ -124,29 +126,14 @@ def add_pages(
     # are scanned — the existing-uuid set is increment-sized, not graph-sized)
     existing = frozenset(
         r["uuid"]
-        for r in _filter_groups(read_table(out_root, "episodes"), affected, keep=True)
+        for r in _filter_in(
+            read_table(out_root, "episodes"), "group_id", affected, keep=True
+        )
         .select_columns(["uuid"])
         .take_all()
     )
     if existing:
-        import ray
-
-        eref = ray.put(pa.array(sorted(existing), pa.string()))
-
-        def drop_known(batch: pa.Table, _ref=eref) -> pa.Table:
-            import pyarrow.compute as pc
-
-            from graphiti_ray.stages.link import _cached_lut
-
-            return batch.filter(
-                pc.invert(
-                    pc.is_in(batch.column("uuid"), value_set=_cached_lut(_ref))
-                )
-            )
-
-        new_eps = new_eps.map_batches(
-            drop_known, batch_format="pyarrow", zero_copy_batch=True
-        ).materialize()
+        new_eps = _filter_in(new_eps, "uuid", existing, keep=False).materialize()
     if new_eps.count() == 0:
         return {"episodes_added": 0, "affected_groups": sorted(affected)}
     new_extracted = extracted_dataset(new_eps).materialize()
@@ -155,14 +142,14 @@ def add_pages(
     append_table(out_root, "extracted", new_extracted, note="add_pages")
 
     # full extracted rows for the affected groups (old + just-appended)
-    extracted_aff = _filter_groups(
-        read_table(out_root, "extracted"), affected, keep=True
+    extracted_aff = _filter_in(
+        read_table(out_root, "extracted"), "group_id", affected, keep=True
     ).materialize()
     mentions_aff, triples_aff = split_extracted(extracted_aff)
 
     # canonical map: untouched groups verbatim + fresh resolution for touched
     canon_old = read_table(out_root, "canonical_map")
-    canon_keep = _filter_groups(canon_old, affected, keep=False)
+    canon_keep = _filter_in(canon_old, "group_id", affected, keep=False)
     # arrow-normalize: map_groups emits pandas blocks, and a later sort over
     # a mixed arrow+pandas union trips ray's block-type assertion
     canon_new = (
@@ -180,11 +167,15 @@ def add_pages(
 
     lut = canon_lookup_ref(canon_new)
 
-    m_keep = _filter_groups(read_table(out_root, "mention_edges"), affected, keep=False)
+    m_keep = _filter_in(
+        read_table(out_root, "mention_edges"), "group_id", affected, keep=False
+    )
     m_new = mention_edges_broadcast(mentions_aff, lut)
     replace_table(out_root, "mention_edges", m_keep.union(m_new))
 
-    e_keep = _filter_groups(read_table(out_root, "edges"), affected, keep=False)
+    e_keep = _filter_in(
+        read_table(out_root, "edges"), "group_id", affected, keep=False
+    )
     resolved = apply_canonical_broadcast(triples_aff, lut)
     e_new = invalidation_sweep_scalable(merged_edges(resolved, run_ts), run_ts)
     if embeddings:
@@ -203,11 +194,11 @@ def add_pages(
         from graphiti_ray.stages.graph import build_communities
 
         comm_new = build_communities(
-            _filter_groups(read_table(out_root, "nodes"), affected, keep=True),
-            _filter_groups(read_table(out_root, "edges"), affected, keep=True),
+            _filter_in(read_table(out_root, "nodes"), "group_id", affected, keep=True),
+            _filter_in(read_table(out_root, "edges"), "group_id", affected, keep=True),
         )
-        c_keep = _filter_groups(
-            read_table(out_root, "communities"), affected, keep=False
+        c_keep = _filter_in(
+            read_table(out_root, "communities"), "group_id", affected, keep=False
         )
         replace_table(
             out_root,
@@ -217,8 +208,11 @@ def add_pages(
             ),
         )
         if is_complete(out_root, "community_edges"):
-            ce_keep = _filter_groups(
-                read_table(out_root, "community_edges"), affected, keep=False
+            ce_keep = _filter_in(
+                read_table(out_root, "community_edges"),
+                "group_id",
+                affected,
+                keep=False,
             )
             replace_table(
                 out_root,

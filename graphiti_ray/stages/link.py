@@ -193,7 +193,10 @@ def mention_partials(mentions: rd.Dataset) -> rd.Dataset:
             .size()
             .reset_index(name="cnt")
         )
-        return pa.Table.from_pandas(out, preserve_index=False)
+        # no b"pandas" schema metadata: a schema carrying it is unhashable,
+        # and Ray's schema dedup in the canonical_map sort logs a warning
+        tbl = pa.Table.from_pandas(out, preserve_index=False)
+        return tbl.replace_schema_metadata(None)
 
     return mentions.map_batches(agg, batch_format="pyarrow")
 
@@ -596,16 +599,12 @@ def canon_lookup_ref(canon: rd.Dataset):
     """
     import ray
 
-    if isinstance(canon, pd.DataFrame):
-        # small-side fast path: a checkpointed canonical_map is read back
-        # with plain pyarrow (state.checkpoint.read_table_pandas) — spinning
-        # up a whole streaming execution to fetch a vocabulary-sized table
-        # costs ~1s of fixed overhead per run_kg stage boundary
-        df = canon[["group_id", "name", "canonical", "entity_uuid"]]
-    else:
-        df = canon.select_columns(
-            ["group_id", "name", "canonical", "entity_uuid"]
-        ).to_pandas()
+    # a materialized map's blocks are already in the object store: fetching
+    # them starts no streaming execution (~1s of fixed overhead per stage
+    # boundary for a vocabulary-sized table)
+    cols = ["group_id", "name", "canonical", "entity_uuid"]
+    blocks = [t.select(cols).to_pandas() for t in ray.get(canon.to_arrow_refs())]
+    df = pd.concat(blocks, ignore_index=True) if blocks else pd.DataFrame(columns=cols)
     # broadcast payload: a pandas hash Index over "group|name" keys plus
     # parallel value arrays — built once, cached per worker (_cached_lut),
     # probed with vectorized get_indexer instead of a Python dict.get per

@@ -3,7 +3,8 @@
 Runs every __ray_entry__.queries()[name](sf_dir) and compares with the
 matching oracle_sql()[name] via DuckDB: row count, column names, and
 order-insensitive value equality (columns sorted by name, rows sorted by
-all columns). Usage:
+all columns). A query that raises prints ``[name] ERROR <type>: <msg>``
+and counts as a FAIL; the rest still run. Exits 1 on any FAIL. Usage:
 
     python scripts/check_oracle.py [sf_dir] [query ...]
 """
@@ -100,12 +101,16 @@ def main():
     for name, fn in qs.items():
         if only and name not in only:
             continue
-        ray_df = to_pandas(fn(sf_dir))
-        if name not in oracles:
-            print(f"  [{name}] rows-only: {len(ray_df)} rows")
-            continue
-        ora_df = con.sql(oracles[name]).df()
-        if compare(name, ray_df, ora_df):
+        try:
+            ray_df = to_pandas(fn(sf_dir))
+            if name not in oracles:
+                print(f"  [{name}] rows-only: {len(ray_df)} rows")
+                continue
+            ok = compare(name, ray_df, con.sql(oracles[name]).df())
+        except Exception as exc:  # one failing query must not end the gate
+            print(f"  [{name}] ERROR {type(exc).__name__}: {exc}")
+            ok = False
+        if ok:
             n_ok += 1
         else:
             n_fail += 1

@@ -10,9 +10,10 @@ import pytest
 
 @pytest.fixture(scope="module")
 def entry():
+    import os
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as e
 
     return e

@@ -120,3 +120,77 @@ def test_safe_join_empty_sides(ray_session):
     inner2 = safe_join(empty, full, join_type="inner", num_partitions=2, on=("k",))
     assert inner2.count() == 0
     assert set(inner2.schema().names) == {"k", "v", "w"}
+
+
+SF = "/root/testdata/sf0.001"
+
+
+def _by_key(df: pd.DataFrame, key: list[str]) -> pd.DataFrame:
+    """Rows sorted by ``key``; list/array cells as tuples so frames compare."""
+    df = df.copy()
+    for c in df.columns:
+        if df[c].map(lambda v: hasattr(v, "__len__") and not isinstance(v, str)).any():
+            df[c] = df[c].map(lambda v: tuple(v) if v is not None else None)
+    return df.sort_values(key).reset_index(drop=True)
+
+
+@pytest.mark.parametrize(
+    "node_summaries, broadcast_limit",
+    [(False, None), (True, -1)],
+    ids=["default", "summaries_hash_join"],
+)
+def test_run_kg_equals_build_kg(
+    ray_session, tmp_path, monkeypatch, node_summaries, broadcast_limit
+):
+    """Both drivers run the one stage chain, so the checkpointed tables equal
+    the in-memory ones — on the broadcast path, and on the hash-join
+    fallback with the node-summary rewrite."""
+    import graphiti_ray.pipelines.kg as kgmod
+    from graphiti_ray.sources.pages import pages_dataset
+    from graphiti_ray.state.checkpoint import read_table_pandas
+
+    if broadcast_limit is not None:
+        monkeypatch.setattr(kgmod, "BROADCAST_LIMIT", broadcast_limit)
+    kw = dict(num_partitions=2, nlp_concurrency=(1, 2), node_summaries=node_summaries)
+    root = str(tmp_path / "kg")
+    metrics = kgmod.run_kg(SF, root, **kw)
+    assert [m["table"] for m in metrics][:6] == [
+        "episodes", "extracted", "canonical_map", "nodes", "mention_edges", "edges"
+    ]
+    assert [m for m in metrics if m.get("summarized")] == (
+        [{"table": "nodes", "summarized": True}] if node_summaries else []
+    )
+    built = build_kg(pages_dataset(SF), **kw)
+    for table, name, key in (
+        ("episodes", "episodes", ["uuid"]),
+        ("canonical_map", "canonical_map", ["group_id", "name"]),
+        ("nodes", "nodes", ["uuid"]),
+        ("mention_edges", "mentions", ["uuid"]),
+        ("edges", "edges", ["uuid"]),
+    ):
+        got = _by_key(read_table_pandas(root, table), key)
+        want = _by_key(built[name].to_pandas(), key)
+        assert len(got) > 0, table
+        pd.testing.assert_frame_equal(got, want, check_dtype=False, obj=table)
+
+
+def test_mention_partials_schema_has_no_metadata(ray_session):
+    """A schema carrying pandas' metadata dict is unhashable, so Ray's schema
+    dedup in canonical_map's sort logs "Failed to hash the schemas"."""
+    import pyarrow as pa
+    import ray
+
+    from graphiti_ray.stages.link import mention_partials
+
+    mentions = rd.from_arrow(
+        pa.table(
+            {
+                "group_id": ["g", "g", "h"],
+                "name": ["Alice", "Alice", "Bob"],
+                "label_hint": ["Person", "Person", "Person"],
+            }
+        )
+    )
+    blocks = ray.get(mention_partials(mentions).materialize().to_arrow_refs())
+    assert blocks
+    assert all(b.schema.metadata is None for b in blocks)

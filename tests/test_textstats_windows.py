@@ -1455,9 +1455,10 @@ def test_events_growth_prefix_is_running_distinct(ray_session):
     """The operator pipeline (first-seen → per-day new → prefix sum)
     equals a brute-force running-distinct count over a staggered-user
     fixture."""
+    import os
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entry_mod
 
     rng = np.random.default_rng(21)
@@ -1467,7 +1468,6 @@ def test_events_growth_prefix_is_running_distinct(ray_session):
         first_day = int(rng.integers(0, 10))
         for d in sorted(set([first_day] + list(rng.integers(first_day, 15, 4)))):
             rows.append({"user_id": uid, "ts": t0 + timedelta(days=int(d), minutes=uid)})
-    import os
     import tempfile
 
     import pandas as pd
