@@ -26,20 +26,6 @@ from typing import Any
 from graphiti_ray.sources import synth_spec as spec
 
 
-
-def _entry_floor_div(us, div):
-    """Integer division matching DuckDB ``//`` for int64 Arrow arrays.
-
-    Measured on this DuckDB: ``(-7) // 2 = -3`` — ``//`` TRUNCATES toward
-    zero (it is not floor division), which is also ``pc.divide``'s
-    behavior. np.floor_divide would floor (−4) and put pre-epoch
-    timestamps one day-bucket earlier than the oracle."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    return pc.divide(pc.cast(us, pa.int64()), div)
-
-
 def _sql_str_list(items) -> str:
     return "[" + ",".join("'" + i + "'" for i in sorted(items)) + "]"
 
@@ -1420,133 +1406,6 @@ def _q_docs_dup_lines(sf_dir: str):
     return duplicate_lines(docs.map_batches(chunk, batch_format="pyarrow"))
 
 
-def _q_media_features(sf_dir: str):
-    """Multimodal feature-extraction plumbing made driver-visible: each
-    document's text bytes stand in for an opaque media payload (mime
-    assigned deterministically), run through the REAL actor-pool
-    MediaFeatureExtractor stage (decode_stub). The stub's chunk hashes
-    are plain-int polynomial arithmetic, so feat_sum/feat_max are
-    oracle-exact; the float feature vector is derived from the same ints."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from graphiti_ray.stages.multimodal import media_features
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-
-    def to_media(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        texts = batch.column("text").to_pylist()
-        mimes = ["image/jpeg", "audio/wav", "video/mp4"]
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "mime": pa.array([mimes[i % 3] for i in ids], pa.string()),
-                "payload": pa.array([t.encode("utf-8") for t in texts], pa.binary()),
-                "meta": pa.array(["{}"] * len(ids), pa.string()),
-            }
-        )
-
-    media = docs.map_batches(to_media, batch_format="pyarrow", zero_copy_batch=True)
-    return media_features(media).select_columns(
-        ["media_id", "mime", "n_bytes", "feat_sum", "feat_max"]
-    )
-
-
-def _q_image_phash(sf_dir: str):
-    """Image perceptual-hash near-dup over the REAL PPM decode path: per
-    doc an 18×16 P6 image is synthesized from pure doc_id arithmetic
-    (pixel (x,y) = ((doc_id//4 + 1) * (y*18+x+7)^2 * 104729) % 251 % 200,
-    R=G=B — quadratic mixing gives each base an effectively random dHash
-    (measured: zero cross-base pairs, max band bucket 60 at 5000 docs) —
-    with a (doc_id%4)*8 perturbation at pixel (1,1) so each base's 4
-    variants are near- but not exact dups), encoded with encode_ppm,
-    then decoded + grayscaled + 9×8-grid dHashed + band-blocked +
-    Hamming-verified by the engine (stages/multimodal.py::
-    image_phash_near_dup). Every step is integer arithmetic, so the
-    DuckDB twin re-derives the dHash bits straight from doc_id — the
-    real codec, the hash and the whole banding/cap/first-shared-band
-    machinery are all under the oracle."""
-    import numpy as np
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    from graphiti_ray.stages.multimodal import encode_ppm, image_phash_near_dup
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    W, H = 18, 16
-    yy, xx = np.mgrid[0:H, 0:W]
-    idx = (yy * W + xx).astype(np.int64)
-
-    def to_media(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        payloads = []
-        for d in ids:
-            g = ((d // 4 + 1) * (idx + 7) * (idx + 7) * 104729) % 251 % 200
-            g[1, 1] += (d % 4) * 8
-            rgb = np.repeat(g.astype(np.uint8)[..., None], 3, axis=2)
-            payloads.append(encode_ppm(rgb))
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "payload": pa.array(payloads, pa.binary()),
-            }
-        )
-
-    media = docs.map_batches(to_media, batch_format="pyarrow", zero_copy_batch=True)
-    return image_phash_near_dup(media, max_hamming=2)
-
-
-def _q_media_wav(sf_dir: str):
-    """The REAL WAV codec under the oracle gate: per doc, a 256-sample
-    16-bit PCM payload is synthesized from pure doc_id integer arithmetic
-    (x_i = ((doc_id*7919 + i*104729) % 24001) - 12000), written with the
-    stdlib ``wave`` writer, then decoded by MediaFeatureExtractor's
-    ``decode='real'`` path (wave parse → chunk mean-magnitude ints).
-    Every step is integer / power-of-two-exact, so the DuckDB twin
-    replicates it with plain arithmetic — this checks the actual decoder,
-    not a stub."""
-    import io
-    import wave
-
-    import numpy as np
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    from graphiti_ray.stages.multimodal import media_features
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-
-    def to_wav(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        payloads = []
-        for d in ids:
-            i = np.arange(256, dtype=np.int64)
-            x = ((d * 7919 + i * 104729) % 24001 - 12000).astype("<i2")
-            buf = io.BytesIO()
-            with wave.open(buf, "wb") as w:
-                w.setnchannels(1)
-                w.setsampwidth(2)
-                w.setframerate(8000)
-                w.writeframes(x.tobytes())
-            payloads.append(buf.getvalue())
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "mime": pa.array(["audio/wav"] * len(ids), pa.string()),
-                "payload": pa.array(payloads, pa.binary()),
-                "meta": pa.array(["{}"] * len(ids), pa.string()),
-            }
-        )
-
-    media = docs.map_batches(to_wav, batch_format="pyarrow", zero_copy_batch=True)
-    return media_features(media, decode="real").select_columns(
-        ["media_id", "n_bytes", "feat_sum", "feat_max"]
-    )
-
-
 _LANG_STATS_ORACLE = """
 SELECT lang,
        count(*)::BIGINT AS n_docs,
@@ -1760,40 +1619,6 @@ def _coverage_oracle_sql(k: int = 5) -> str:
         for r in range(1, k + 1)
     ]
     return "WITH " + ",\n".join(parts) + "\n" + "\nUNION ALL ".join(selects)
-
-
-def _q_events_baskets(sf_dir: str):
-    """Frequent event-type pairs over per-user baskets (Apriori level
-    2): distinct (user, type) pass → per-user pair partials → one
-    |types|²-keyed sum; exact support counts for lift/confidence."""
-    import ray.data as rd
-
-    from graphiti_ray.stages.windows import basket_pairs
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
-    )
-    return basket_pairs(ev, min_support=2)
-
-
-_EVENTS_BASKETS_ORACLE = """
-WITH ut AS (SELECT DISTINCT user_id, event_type FROM events),
-p AS (
-  SELECT a.event_type AS type_a, b.event_type AS type_b,
-         count(*)::BIGINT AS n_ab
-  FROM ut a JOIN ut b
-    ON b.user_id = a.user_id AND a.event_type < b.event_type
-  GROUP BY 1, 2
-),
-c AS (SELECT event_type, count(*)::BIGINT AS n FROM ut GROUP BY 1),
-u AS (SELECT count(DISTINCT user_id)::BIGINT AS n_keys FROM events)
-SELECT p.type_a, p.type_b, p.n_ab, ca.n AS n_a, cb.n AS n_b, u.n_keys
-FROM p
-JOIN c ca ON ca.event_type = p.type_a
-JOIN c cb ON cb.event_type = p.type_b
-CROSS JOIN u
-WHERE p.n_ab >= 2
-"""
 
 
 _BM25_BATCH_QUERIES = ["spark stream", "hash join merge", "slow fast"]
@@ -2022,7 +1847,7 @@ def _q_kg_entity_pmi(sf_dir: str):
     import numpy as np
     import pyarrow as pa
 
-    from graphiti_ray.stages.windows import basket_pairs
+    from graphiti_ray.stages.textstats import basket_pairs
 
     tables = _kg_tables(sf_dir, embeddings=False)
     ment = tables["mentions"].select_columns(["episode_uuid", "entity_uuid"])
@@ -2064,43 +1889,6 @@ JOIN cnt ca ON ca.eu = p.type_a
 JOIN cnt cb ON cb.eu = p.type_b
 CROSS JOIN u
 WHERE p.n_ab >= 2
-"""
-
-
-def _q_events_streaks(sf_dir: str):
-    """Longest consecutive-day activity streak per user (the retention
-    analytic next to cohorts): distinct active days → maximal
-    day-adjacent run, one sorted pass. Oracle: the day − row_number
-    gaps-and-islands trick."""
-    import ray.data as rd
-
-    from graphiti_ray.stages.windows import user_streaks
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-    return user_streaks(ev)
-
-
-_EVENTS_STREAKS_ORACLE = """
-WITH d AS (
-  SELECT DISTINCT user_id,
-         (epoch_us(ts) // 86400000000)::BIGINT AS day
-  FROM events
-),
-g AS (
-  SELECT user_id, day,
-         day - row_number() OVER (PARTITION BY user_id ORDER BY day) AS grp
-  FROM d
-),
-runs AS (
-  SELECT user_id, count(*)::BIGINT AS run_len
-  FROM g GROUP BY user_id, grp
-)
-SELECT d2.user_id, count(*)::BIGINT AS n_active_days,
-       max(r.max_run)::BIGINT AS max_streak
-FROM d d2
-JOIN (SELECT user_id, max(run_len) AS max_run FROM runs GROUP BY user_id) r
-  USING (user_id)
-GROUP BY d2.user_id
 """
 
 
@@ -2230,9 +2018,8 @@ FROM agg
 def _q_docs_vocab_growth(sf_dir: str):
     """Heaps-law vocabulary growth: cumulative distinct-token count over
     the corpus in doc_id order — token first-seen min-reduce → per-doc
-    new-token counts → one cross-block prefix sum (the events_growth
-    kernel over the vocabulary). Output rows only for docs that
-    introduce tokens."""
+    new-token counts → one cross-block prefix sum. Output rows only for
+    docs that introduce tokens."""
     import re as _re
 
     import pyarrow as pa
@@ -2413,7 +2200,7 @@ def _q_kg_pred_pairs(sf_dir: str):
     predicate pairs appear on the same SUBJECT — the KG instance of the
     basket kernel (distinct (subj, pred) pass → per-subject pairs →
     |preds|² reduce)."""
-    from graphiti_ray.stages.windows import basket_pairs
+    from graphiti_ray.stages.textstats import basket_pairs
 
     tables = _kg_tables(sf_dir, embeddings=False)
     edges = tables["edges"].select_columns(["subj_uuid", "pred"])
@@ -2438,108 +2225,6 @@ JOIN c ca ON ca.pred = p.type_a
 JOIN c cb ON cb.pred = p.type_b
 CROSS JOIN u
 WHERE p.n_ab >= 1
-"""
-
-
-def _q_events_gaps(sf_dir: str):
-    """Per-user inter-arrival statistics (session-health census): exact
-    int64 (n_gaps, sum_gap_us, max_gap_us) over consecutive events in
-    (ts, event_id) order — one range sort + one lag pass, moment sums
-    only (floats derived downstream)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data as rd
-
-    from graphiti_ray.stages.ops import sorted_lag_list
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
-    )
-
-    def to_us(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": t.column("user_id"),
-                "event_id": t.column("event_id"),
-                "ts_us": pc.cast(
-                    pc.cast(t.column("ts"), pa.timestamp("us")), pa.int64()
-                ),
-            }
-        )
-
-    lagged = sorted_lag_list(
-        ev.map_batches(to_us, batch_format="pyarrow", zero_copy_batch=True),
-        ["user_id"],
-        ["ts_us", "event_id"],
-        "ts_us",
-        k=1,
-        out_col="ts_us_lag",
-    )
-
-    def gaps(t: pa.Table) -> pa.Table:
-        import numpy as np
-
-        prev = t.column("ts_us_lag").to_pylist()
-        cur = t.column("ts_us").to_numpy(zero_copy_only=False)
-        uid = t.column("user_id")
-        has = np.array([len(p) == 1 for p in prev])
-        # lag values ride as strings through the generic carry column
-        gap = np.array(
-            [c - int(p[0]) if len(p) == 1 else 0 for c, p in zip(cur, prev)],
-            dtype=np.int64,
-        )
-        return pa.table(
-            {
-                "user_id": uid,
-                "one": pa.array(has.astype(np.int64), pa.int64()),
-                "gap": pa.array(np.where(has, gap, 0), pa.int64()),
-                "mx": pa.array(
-                    np.where(has, gap, np.iinfo(np.int64).min), pa.int64()
-                ),
-            }
-        )
-
-    from ray.data.aggregate import Max, Sum
-
-    agg = (
-        lagged.map_batches(gaps, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("user_id")
-        .aggregate(
-            Sum("one", alias_name="n_gaps"),
-            Sum("gap", alias_name="sum_gap_us"),
-            Max("mx", alias_name="max_gap_us"),
-        )
-    )
-
-    def finish(t: pa.Table) -> pa.Table:
-        n = pc.cast(t.column("n_gaps"), pa.int64())
-        mx = pc.cast(t.column("max_gap_us"), pa.int64())
-        return pa.table(
-            {
-                "user_id": pc.cast(t.column("user_id"), pa.int64()),
-                "n_gaps": n,
-                "sum_gap_us": pc.cast(t.column("sum_gap_us"), pa.int64()),
-                "max_gap_us": pc.if_else(
-                    pc.greater(n, 0), mx, pa.nulls(t.num_rows, pa.int64())
-                ),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
-_EVENTS_GAPS_ORACLE = """
-WITH s AS (
-  SELECT user_id,
-         epoch_us(ts) - lag(epoch_us(ts)) OVER (
-           PARTITION BY user_id ORDER BY ts, event_id) AS gap
-  FROM events
-)
-SELECT user_id,
-       count(gap)::BIGINT AS n_gaps,
-       coalesce(sum(gap), 0)::BIGINT AS sum_gap_us,
-       max(gap)::BIGINT AS max_gap_us
-FROM s GROUP BY user_id
 """
 
 
@@ -3224,64 +2909,6 @@ GROUP BY n.lang, qs.q6
 """
 
 
-def _q_events_markov(sf_dir: str):
-    """Stationary distribution of the event-type Markov chain: the
-    transition-count reduce is the distributed stage; the |types|² chain
-    power-iterates 6 unrolled rounds (dangling states self-loop), the
-    pagerank convention."""
-    import ray.data as rd
-
-    from graphiti_ray.stages.windows import markov_stationary
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "event_type"],
-    )
-    return markov_stationary(ev, rounds=6)
-
-
-def _markov_oracle_sql(rounds: int = 6) -> str:
-    parts = [
-        """s AS (
-  SELECT user_id, event_type,
-         lead(event_type) OVER (PARTITION BY user_id
-                                ORDER BY ts, event_id) AS nxt
-  FROM events
-)""",
-        "tc AS MATERIALIZED (SELECT event_type AS src, nxt AS dst, "
-        "count(*)::BIGINT AS n FROM s WHERE nxt IS NOT NULL GROUP BY 1, 2)",
-        "states AS MATERIALIZED (SELECT DISTINCT event_type AS state FROM events)",
-        "kk AS (SELECT count(*)::DOUBLE AS k FROM states)",
-        "rs AS MATERIALIZED (SELECT src, sum(n)::DOUBLE AS tot FROM tc GROUP BY src)",
-        "p AS MATERIALIZED (SELECT tc.src, tc.dst, tc.n / rs.tot AS p "
-        "FROM tc JOIN rs USING (src))",
-        "dang AS MATERIALIZED (SELECT state FROM states "
-        "WHERE state NOT IN (SELECT src FROM rs))",
-        "pi0 AS MATERIALIZED (SELECT state, 1.0 / kk.k AS sc "
-        "FROM states CROSS JOIN kk)",
-    ]
-    for r in range(1, rounds + 1):
-        parts.append(
-            f"""pi{r} AS MATERIALIZED (
-  SELECT st.state,
-         coalesce(f.acc, 0)
-           + CASE WHEN st.state IN (SELECT state FROM dang)
-                  THEN prev.sc ELSE 0 END AS sc
-  FROM states st
-  JOIN pi{r - 1} prev ON prev.state = st.state
-  LEFT JOIN (
-    SELECT p.dst AS state, sum(prev2.sc * p.p) AS acc
-    FROM p JOIN pi{r - 1} prev2 ON prev2.state = p.src GROUP BY 1
-  ) f ON f.state = st.state
-)"""
-        )
-    chain = ",\n".join(parts)
-    return f"""
-WITH {chain}
-SELECT state AS event_type, sc AS prob FROM pi{rounds}
-"""
-
-
 _PROX_PAIRS = [
     ("data", "query"),
     ("slow", "fast"),
@@ -3892,212 +3519,6 @@ def _q_embeddings_semdedup(sf_dir: str):
     return semantic_dedup(emb, k=8, n_iters=3, t_num=7, t_den=20)
 
 
-def _q_events_tumbling(sf_dir: str):
-    import ray.data as rd
-    import pyarrow as pa
-
-    from graphiti_ray.stages.windows import tumbling_window
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
-
-    def to_cents(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "ts": batch.column("ts"),
-                "value": pc.cast(
-                    pc.floor(pc.add(pc.multiply(batch.column("value"), 100.0), 0.5)),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    ev = ev.map_batches(to_cents, batch_format="pyarrow", zero_copy_batch=True)
-    out = tumbling_window(ev, size_s=600)
-    return out.rename_columns(
-        {
-            "sum_value": "sum_value_cents",
-            "min_value": "min_value_cents",
-            "max_value": "max_value_cents",
-        }
-    )
-
-
-def _q_events_asof(sf_dir: str):
-    """Backward as-of join (sorted-merge + boundary carry, stages/ops.py::
-    sorted_asof_join): every event annotated with its user's most recent
-    COMPLETED 10-minute tumbling-window sum (window_end <= ts, ties
-    inclusive). Oracle: DuckDB native ASOF LEFT JOIN."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from graphiti_ray.stages.ops import sorted_asof_join
-    from graphiti_ray.stages.windows import tumbling_window
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
-
-    def to_cents(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "ts": batch.column("ts"),
-                "value_cents": pc.cast(
-                    pc.floor(pc.add(pc.multiply(batch.column("value"), 100.0), 0.5)),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    left = ev.map_batches(to_cents, batch_format="pyarrow", zero_copy_batch=True)
-    win = tumbling_window(
-        left.rename_columns({"value_cents": "value"}), size_s=600
-    )
-
-    def window_end(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        # normalize the unit BEFORE the int64 view: pandas-lineage blocks
-        # carry timestamp[ns], and ns reinterpreted as µs lands in 1970
-        ws = pc.cast(batch.column("window_start"), pa.timestamp("us"))
-        us = pc.cast(ws, pa.int64())
-        return pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "ts": pc.cast(pc.add(us, 600_000_000), pa.timestamp("us")),
-                "prev_window_sum": batch.column("sum_value"),
-            }
-        )
-
-    right = win.map_batches(window_end, batch_format="pyarrow")
-    return sorted_asof_join(
-        left, right, by=["user_id"], ts_col="ts", value_cols=["prev_window_sum"]
-    )
-
-
-def _q_events_topk(sf_dir: str):
-    """Per-user top-3 events by value (ops.top_k_per_group: one range
-    sort + per-block head-k over complete runs). Oracle: row_number
-    window."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from graphiti_ray.stages.ops import top_k_per_group
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        cents = pc.cast(
-            pc.floor(pc.add(pc.multiply(batch.column("value"), 100.0), 0.5)),
-            pa.int64(),
-        )
-        return pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "ts": batch.column("ts"),
-                "value_cents": cents,
-                "neg_value": pc.negate(cents),
-            }
-        )
-
-    top = top_k_per_group(
-        ev.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
-        keys=["user_id"],
-        order_cols=["neg_value", "ts"],
-        k=3,
-    )
-    return top.select_columns(["user_id", "ts", "value_cents", "rank"])
-
-
-def _q_events_quantiles(sf_dir: str):
-    """Exact per-user value quantiles (ops.group_quantiles, pinned
-    floor(q*(n-1)) lower interpolation). Oracle: row_number rank
-    selection with the identical formula."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from graphiti_ray.stages.ops import group_quantiles
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "value"])
-
-    def to_cents(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "value_cents": pc.cast(
-                    pc.floor(pc.add(pc.multiply(batch.column("value"), 100.0), 0.5)),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    return group_quantiles(
-        ev.map_batches(to_cents, batch_format="pyarrow", zero_copy_batch=True),
-        keys=["user_id"],
-        value_col="value_cents",
-        qs=[0.5, 0.9],
-    )
-
-
-def _q_events_sliding(sf_dir: str):
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    from graphiti_ray.stages.windows import sliding_window
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
-
-    def to_cents(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "ts": batch.column("ts"),
-                "value": pc.cast(
-                    pc.floor(pc.add(pc.multiply(batch.column("value"), 100.0), 0.5)),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    ev = ev.map_batches(to_cents, batch_format="pyarrow", zero_copy_batch=True)
-    out = sliding_window(ev, size_s=600, slide_s=300)
-    return out.rename_columns({"sum_value": "sum_value_cents"})
-
-
-def _q_events_session(sf_dir: str):
-    import ray.data as rd
-
-    from graphiti_ray.stages.windows import session_window
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-    return session_window(ev, gap_s=1800)
-
-
-def _q_events_zscore(sf_dir: str):
-    """Per-user z-score outlier screen in exact int64 arithmetic
-    (|n·x − s|² > z²·(n·ssq − s²) on a 1e-3 quantized lattice), so the
-    SQL twin never compares floats. Reference analogue: the telemetry
-    quality screens a training-data pipeline runs over event streams."""
-    import ray.data as rd
-
-    from graphiti_ray.stages.windows import zscore_outliers
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "value"]
-    )
-    return zscore_outliers(ev, z=3, quant=1000)
-
-
 _PHRASES = [
     "data line join",
     "join order batch",
@@ -4105,108 +3526,6 @@ _PHRASES = [
     "slow join sort",
     "key data a",
 ]
-
-
-def _q_promo_revenue(sf_dir: str):
-    """TPC-H Q14 shape: revenue per part type (PROMO share analysis) —
-    lineitem ⋈ part keyed hash join, cent-lattice revenue, one small
-    groupby. Completes usage of every driver input table."""
-    import numpy as np
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    from graphiti_ray.stages.link import default_join_partitions, safe_join
-
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_extendedprice", "l_discount"],
-    )
-    part = rd.read_parquet(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"]
-    ).rename_columns({"p_partkey": "l_partkey"})
-    joined = safe_join(
-        li, part, join_type="inner",
-        num_partitions=default_join_partitions(), on=("l_partkey",),
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        p = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        d = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        cents = np.floor(p * (1.0 - d) * 100.0 + 0.5).astype(np.int64)
-        t = pa.table(
-            {
-                "p_type": batch.column("p_type"),
-                "rev": pa.array(cents, pa.int64()),
-                "one": pa.array(np.ones(len(cents), np.int64), pa.int64()),
-            }
-        )
-        g = t.group_by(["p_type"]).aggregate([("rev", "sum"), ("one", "sum")])
-        return g.rename_columns(["p_type", "p_rev", "p_n"])
-
-    return (
-        joined.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("p_type")
-        .aggregate(
-            Sum("p_rev", alias_name="revenue_cents"),
-            Sum("p_n", alias_name="n_items"),
-        )
-    )
-
-
-def _q_regional_volume(sf_dir: str):
-    """TPC-H Q5 shape: revenue per nation where customer and supplier
-    share a nation of one region — dimension dict for nation/region,
-    keyed hash joins for every large side, cent-lattice revenue."""
-    from graphiti_ray.pipelines.relational import regional_supplier_volume
-
-    return regional_supplier_volume(sf_dir)
-
-
-def _q_events_json(sf_dir: str):
-    """Schema-on-read JSON projection over the events.props column:
-    extract $.k per row (stdlib json, streaming map) and aggregate exact
-    integer stats per event_type — the semi-structured-column op."""
-    import json
-
-    import numpy as np
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Max, Min, Sum
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "props"]
-    )
-
-    def extract(batch: pa.Table) -> pa.Table:
-        ks = np.fromiter(
-            (
-                int(json.loads(p)["k"])
-                for p in batch.column("props").to_pylist()
-            ),
-            dtype=np.int64,
-            count=batch.num_rows,
-        )
-        return pa.table(
-            {
-                "event_type": batch.column("event_type"),
-                "k": pa.array(ks, pa.int64()),
-                "one": pa.array(np.ones(len(ks), np.int64), pa.int64()),
-            }
-        )
-
-    return (
-        ev.map_batches(extract, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(
-            Sum("one", alias_name="n"),
-            Sum("k", alias_name="sum_k"),
-            Min("k", alias_name="min_k"),
-            Max("k", alias_name="max_k"),
-        )
-    )
 
 
 def _q_docs_skyline(sf_dir: str):
@@ -4260,64 +3579,6 @@ def _q_docs_profile(sf_dir: str):
         f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
     )
     return profile_table(docs, ["doc_id", "lang", "n_chars"])
-
-
-def _q_events_growth(sf_dir: str):
-    """Cumulative distinct-user growth per day: first-seen min-reduce →
-    per-day new-user counts → one cross-block prefix sum (the growth
-    curve every product dashboard plots, distinct-exact without a
-    cumulative-distinct window)."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Min, Sum
-
-    from graphiti_ray.stages.ops import sorted_prefix_sum
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-
-    def to_day(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        us = pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64())
-        return pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "day": _entry_floor_div(us, 86400 * 1000000),
-            }
-        )
-
-    first = (
-        ev.map_batches(to_day, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("user_id")
-        .aggregate(Min("day", alias_name="day"))
-    )
-
-    def day_partial(batch: pa.Table) -> pa.Table:
-        t = batch.select(["day"]).group_by(["day"]).aggregate([([], "count_all")])
-        return t.rename_columns(["day", "p_n"])
-
-    per_day = (
-        first.map_batches(day_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("day")
-        .aggregate(Sum("p_n", alias_name="new_users"))
-    )
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        return batch.append_column(
-            "_k", pa.array(np.zeros(batch.num_rows, np.int64), pa.int64())
-        )
-
-    summed = sorted_prefix_sum(
-        per_day.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
-        by=["_k"],
-        order_cols=["day"],
-        delta_col="new_users",
-        out_col="total_users",
-    )
-    return summed.drop_columns(["_k"])
 
 
 def _q_tokens_cms_by_lang(sf_dir: str):
@@ -4510,18 +3771,6 @@ def _q_docs_cube(sf_dir: str):
     return rollup_counts(docs, ["lang", "source"], sum_col="n_chars", cube=True)
 
 
-def _q_events_cohorts(sf_dir: str):
-    """Weekly cohort retention: users cohorted by first-event week
-    (integer µs division), (cohort, offset) cells count distinct active
-    users — min-reduce + join-back + distinct partials."""
-    import ray.data as rd
-
-    from graphiti_ray.stages.windows import cohort_retention
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-    return cohort_retention(ev)
-
-
 def _q_docs_melt(sf_dir: str):
     """Round-trip UNPIVOT: the lang × source pivot grid melted back to
     long (lang, variable, value) rows — pivot ∘ melt as one pipeline,
@@ -4533,37 +3782,6 @@ def _q_docs_melt(sf_dir: str):
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "source"])
     wide = pivot_counts(docs, "lang", "source", _PIVOT_SOURCES)
     return melt(wide, ["lang"], _PIVOT_SOURCES + ["_other"])
-
-
-def _q_events_ntile(sf_dir: str):
-    """ntile(4) value quartiles per user (cent lattice, event_id ties):
-    standard remainder-to-first-buckets semantics, integer arithmetic on
-    window_rank's (rank, n)."""
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    from graphiti_ray.stages.ops import window_ntile
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "value"]
-    )
-
-    def cents(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        c = pc.cast(
-            pc.floor(pc.add(pc.multiply(batch.column("value"), 100.0), 0.5)),
-            pa.int64(),
-        )
-        return batch.drop_columns(["value"]).append_column("value_cents", c)
-
-    return window_ntile(
-        ev.map_batches(cents, batch_format="pyarrow", zero_copy_batch=True),
-        keys=["user_id"],
-        order_cols=["value_cents", "event_id"],
-        n_tiles=4,
-    )
 
 
 _PIVOT_SOURCES = [f"src{i}" for i in range(20)]
@@ -4578,38 +3796,6 @@ def _q_docs_pivot(sf_dir: str):
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "source"])
     return pivot_counts(docs, "lang", "source", _PIVOT_SOURCES)
-
-
-def _q_events_ffill(sf_dir: str):
-    """LOCF forward-fill per user ((ts, id) order): 'error' events' values
-    are nulled deterministically, then gap-filled from the last valid
-    observation — one range sort + a barrier-shifted maximum.accumulate
-    per block, no per-key dispatch."""
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    from graphiti_ray.stages.windows import forward_fill
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "event_type", "value"],
-    )
-
-    def nullify(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        is_err = pc.equal(batch.column("event_type"), "error")
-        v = pc.if_else(is_err, pa.scalar(None, pa.float64()),
-                       batch.column("value"))
-        return batch.drop_columns(["event_type", "value"]).append_column(
-            "value", v
-        )
-
-    return forward_fill(
-        ev.map_batches(nullify, batch_format="pyarrow", zero_copy_batch=True),
-        value_col="value",
-    )
 
 
 def _q_docs_bloom_join(sf_dir: str):
@@ -4656,21 +3842,6 @@ def _q_docs_shards(sf_dir: str):
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
     return rendezvous_shards(docs, n_shards=8)
-
-
-def _q_events_transitions(sf_dir: str):
-    """First-order Markov transition counts over per-user event streams
-    ((ts, event_id) order): block-precounted adjacent pairs → one
-    |types|²-keyed reduce."""
-    import ray.data as rd
-
-    from graphiti_ray.stages.windows import transition_counts
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "event_type"],
-    )
-    return transition_counts(ev)
 
 
 def _q_lang_moments(sf_dir: str):
@@ -4951,49 +4122,6 @@ def _q_lang_distinct_texts(sf_dir: str):
     )
 
 
-def _q_sessions_overlap(sf_dir: str):
-    """Interval self-join over the session table: cross-user session
-    pairs that overlap in time, via bucketed candidates with
-    first-shared-bucket dedup (no distinct shuffle) and exact µs
-    verification."""
-    import ray.data as rd
-
-    from graphiti_ray.stages.windows import interval_overlap_pairs, session_window
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-    sessions = session_window(ev, gap_s=1800).drop_columns(["n_events"])
-    return interval_overlap_pairs(sessions)
-
-
-def _q_events_rank(sf_dir: str):
-    """Full per-user value ranking + partition size (row_number + count
-    window twins) on the cent lattice, ties broken by event_id."""
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    from graphiti_ray.stages.ops import window_rank
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "value"]
-    )
-
-    def cents(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        c = pc.cast(
-            pc.floor(pc.add(pc.multiply(batch.column("value"), 100.0), 0.5)),
-            pa.int64(),
-        )
-        return batch.drop_columns(["value"]).append_column("value_cents", c)
-
-    return window_rank(
-        ev.map_batches(cents, batch_format="pyarrow", zero_copy_batch=True),
-        keys=["user_id"],
-        order_cols=["value_cents", "event_id"],
-    )
-
-
 def _set_op_sides(sf_dir: str):
     import pyarrow.compute as pc
 
@@ -5049,66 +4177,6 @@ def _q_embeddings_jl(sf_dir: str):
     return jl_project(emb)
 
 
-def _q_events_regression(sf_dir: str):
-    """Per-event-type OLS trend (value vs time) as a distributed
-    sufficient-statistics reduce: per-block partial (n, Σx, Σy, Σxy, Σx²)
-    combiner → one vocabulary-sized keyed sum → closed-form slope on an
-    exact integer lattice (x = whole hours since 2024-01-01, y =
-    floor(value·1000), slope_e6 truncated toward zero as DuckDB's ``//``
-    does). The driver never sees an event row."""
-    import ray.data as rd
-
-    from graphiti_ray.stages.windows import grouped_ols
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
-    )
-    return grouped_ols(ev)
-
-
-def _q_events_mad(sf_dir: str):
-    """Robust MAD outlier screen: per-user exact 'lower' medians on the
-    1e-3 lattice, |v−med| > 3·MAD — all int64, two group_quantiles
-    passes + two keyed joins."""
-    import ray.data as rd
-
-    from graphiti_ray.stages.windows import mad_outliers
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "value"]
-    )
-    return mad_outliers(ev, z=3, quant=1000)
-
-
-def _q_events_rolling(sf_dir: str):
-    """Per-user rolling 3-row sum in time order (ROWS 2 PRECEDING) on the
-    exact cent lattice: one range sort, prefix-sum subtraction per
-    complete key run — no self-join, no per-key dispatch."""
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    from graphiti_ray.stages.windows import rolling_sum
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"]
-    )
-
-    def cents(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        c = pc.cast(
-            pc.floor(pc.add(pc.multiply(batch.column("value"), 100.0), 0.5)),
-            pa.int64(),
-        )
-        return batch.drop_columns(["value"]).append_column("value_cents", c)
-
-    return rolling_sum(
-        ev.map_batches(cents, batch_format="pyarrow", zero_copy_batch=True),
-        window_rows=3,
-    )
-
-
 def _q_lang_top_tokens(sf_dir: str):
     """Exact per-language top-5 tokens (count desc, token asc) — the
     heavy-hitter exact twin of tokens_cms: per-batch combiner → one
@@ -5127,27 +4195,12 @@ def _q_docs_histogram(sf_dir: str):
     partials → one keyed sum over ≤ |langs|·22 rows."""
     import ray.data as rd
 
-    from graphiti_ray.stages.windows import fixed_histogram
+    from graphiti_ray.stages.textstats import fixed_histogram
 
     docs = rd.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"]
     )
     return fixed_histogram(docs, "n_chars", lo=0, hi=500, n_bins=20, by="lang")
-
-
-def _q_events_funnel(sf_dir: str):
-    """Two-step funnel conversion (first signup → first purchase within
-    24 h per user — 57/150 users convert at sf0.01, so both branches are
-    non-vacuous): streaming pre-filter to step rows, one range sort,
-    vectorized run kernel. Product-analytics sequence op."""
-    import ray.data as rd
-
-    from graphiti_ray.stages.windows import funnel_conversion
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
-    )
-    return funnel_conversion(ev, within_s=86400)
 
 
 def _q_docs_quality_filter(sf_dir: str):
@@ -5224,24 +4277,6 @@ def _q_docs_temperature(sf_dir: str):
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
     return temperature_sample(docs)
-
-
-def _q_pricing_summary(sf_dir: str):
-    from graphiti_ray.pipelines.relational import pricing_summary
-
-    return pricing_summary(sf_dir)
-
-
-def _q_top_customers(sf_dir: str):
-    from graphiti_ray.pipelines.relational import top_customers
-
-    return top_customers(sf_dir)
-
-
-def _q_lang_doc_stats(sf_dir: str):
-    from graphiti_ray.pipelines.relational import lang_doc_stats
-
-    return lang_doc_stats(sf_dir)
 
 
 def _q_docs_hll(sf_dir: str):
@@ -5929,77 +4964,6 @@ def _q_cdx_revisits(sf_dir: str):
     return lagged.map_batches(flag, batch_format="pyarrow")
 
 
-def _q_events_attribution(sf_dir: str):
-    """Last-touch attribution: each purchase annotated with the same
-    user's most recent click at-or-before it (ops.sorted_asof_join — one
-    range sort + boundary carry), plus an exact integer within-1h
-    attribution flag. Oracle: DuckDB native ASOF LEFT JOIN + the same
-    CASE."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    import ray.data as rd
-
-    from graphiti_ray.stages.ops import sorted_asof_join
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "event_type"],
-    )
-    purchases = ev.map_batches(
-        lambda t: t.filter(
-            pc.equal(t.column("event_type"), "purchase")
-        ).select(["event_id", "user_id", "ts"]),
-        batch_format="pyarrow",
-    )
-    clicks = ev.map_batches(
-        lambda t: (
-            lambda f: pa.table(
-                {
-                    "user_id": f.column("user_id"),
-                    "ts": f.column("ts"),
-                    "click_id": f.column("event_id"),
-                    "click_ts": f.column("ts"),
-                }
-            )
-        )(t.filter(pc.equal(t.column("event_type"), "click"))),
-        batch_format="pyarrow",
-    )
-    joined = sorted_asof_join(
-        purchases, clicks, by=["user_id"], ts_col="ts",
-        value_cols=["click_id", "click_ts"],
-    )
-
-    def flag(t: pa.Table) -> pa.Table:
-        p_us = t.column("ts").cast(pa.timestamp("us")).cast(pa.int64())
-        c_us = t.column("click_ts").cast(pa.timestamp("us")).cast(pa.int64())
-        within = pc.and_(
-            pc.is_valid(t.column("click_id")),
-            pc.less_equal(
-                pc.subtract(p_us, pc.coalesce(c_us, p_us)), 3_600_000_000
-            ),
-        )
-        return t.append_column("attributed", pc.cast(within, pa.bool_()))
-
-    return joined.map_batches(flag, batch_format="pyarrow")
-
-
-def _q_events_funnel3(sf_dir: str):
-    """3-step funnel view→click→purchase (per-hop 24h window): the
-    N-step sequence-conversion kernel — streaming step prefilter, one
-    range sort, one np.minimum.at pass per hop over complete key runs."""
-    import ray.data as rd
-
-    from graphiti_ray.stages.windows import funnel_sequence
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
-    )
-    return funnel_sequence(
-        ev, steps=["view", "click", "purchase"], within_s=86400
-    )
-
-
 def _q_web_degree_alpha(sf_dir: str):
     """Hill power-law exponent of the host degree distribution (tail
     d ≥ 2) — the one-number web-graph-shape diagnostic, log terms on the
@@ -6188,25 +5152,6 @@ mu AS (
 SELECT a AS node_a, b AS node_b, n AS support
 FROM sup{rounds} WHERE n >= {k - 2}
 """
-
-
-def _q_events_scd2(sf_dir: str):
-    """SCD2 dimension history over the event stream: per user, each
-    maximal run of a constant event_type becomes one
-    (valid_from, valid_to) interval, valid_to = next change (NULL = still
-    current). One range sort + vectorized island kernel; oracle = the
-    classic lag-filter + lead window pair."""
-    import ray.data as rd
-
-    from graphiti_ray.stages.windows import scd2_intervals
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type"],
-    )
-    return scd2_intervals(
-        ev, key="user_id", value="event_type", ts_col="ts", tiebreak="event_id"
-    )
 
 
 def _q_graph_clustering(sf_dir: str):
@@ -6570,16 +5515,18 @@ def _q_docs_bpe_train(sf_dir: str):
 
 
 def _bpe_oracle_sql(n_merges: int = 10) -> str:
+    # every s<k> is read twice (by p<k+1> and by s<k+1>), so an inlined
+    # chain doubles per round: MATERIALIZED evaluates each state once
     parts = [
         r"""
 WITH toks AS (
   SELECT regexp_extract_all(lower(text), '\w+') AS tk FROM documents
 ),
-wt AS (
+wt AS MATERIALIZED (
   SELECT u.w AS w, count(*)::BIGINT AS c
   FROM toks, LATERAL unnest(tk) AS u(w) GROUP BY 1
 ),
-s0 AS (
+s0 AS MATERIALIZED (
   SELECT '|' || regexp_replace(w, '(.)', '\1|', 'g') AS seq, c FROM wt
 )"""
     ]
@@ -6593,7 +5540,7 @@ p{k} AS (
   GROUP BY 1, 2
 ),
 t{k} AS (SELECT l, r, n FROM p{k} ORDER BY n DESC, l, r LIMIT 1),
-s{k} AS (
+s{k} AS MATERIALIZED (
   SELECT replace(seq, '|' || t.l || '|' || t.r || '|',
                  '|' || t.l || t.r || '|') AS seq, c
   FROM s{k - 1} CROSS JOIN t{k} t
@@ -6604,72 +5551,6 @@ s{k} AS (
         for k in range(1, n_merges + 1)
     )
     return "".join(parts) + "\n" + union
-
-
-def _q_customer_rfm(sf_dir: str):
-    """RFM segmentation census (recency / frequency / monetary
-    quintiles): per-customer aggregates on exact lattices (µs recency,
-    order count, integer cents), three hub-safe window_rank passes over
-    the CUSTOMER-sized table (≪ orders), quintile = ((rank−1)·5)//n + 1
-    — the same arithmetic written in both engines instead of NTILE's
-    remainder rule."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    import ray.data as rd
-    from ray.data.aggregate import Count, Max, Sum
-
-    from graphiti_ray.stages.ops import window_rank
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderdate", "o_totalprice"],
-    )
-
-    def prep(t: pa.Table) -> pa.Table:
-        d_us = pc.cast(pc.cast(t.column("o_orderdate"), pa.timestamp("us")), pa.int64())
-        cents = pc.cast(
-            pc.floor(pc.add(pc.multiply(t.column("o_totalprice"), 100.0), 0.5)),
-            pa.int64(),
-        )
-        return pa.table(
-            {"o_custkey": t.column("o_custkey"), "d_us": d_us, "cents": cents}
-        )
-
-    base = (
-        orders.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("o_custkey")
-        .aggregate(
-            Max("d_us", alias_name="last_us"),
-            Count(alias_name="freq"),
-            Sum("cents", alias_name="cents"),
-        )
-        .map_batches(
-            lambda t: t.append_column(
-                "k", pa.array([0] * t.num_rows, pa.int64())
-            ),
-            batch_format="pyarrow",
-        )
-    )
-    r1 = window_rank(base, ["k"], ["last_us", "o_custkey"], rank_col="rr", count_col="n")
-    r2 = window_rank(r1, ["k"], ["freq", "o_custkey"], rank_col="fr", count_col="n2")
-    r3 = window_rank(r2, ["k"], ["cents", "o_custkey"], rank_col="mr", count_col="n3")
-
-    def quintiles(t: pa.Table) -> pa.Table:
-        n = t.column("n")
-
-        def q(col):
-            return pc.add(
-                pc.divide(pc.multiply(pc.subtract(t.column(col), 1), 5), n), 1
-            )
-
-        return pa.table({"r_q": q("rr"), "f_q": q("fr"), "m_q": q("mr")})
-
-    return (
-        r3.map_batches(quintiles, batch_format="pyarrow")
-        .groupby(["r_q", "f_q", "m_q"])
-        .aggregate(Count(alias_name="n_customers"))
-    )
 
 
 _ASOF_T = "2024-01-02 00:00:00"  # TS0 + 24h: mid-corpus time-travel point
@@ -6754,17 +5635,6 @@ def _q_kg_path_query_asof(sf_dir: str):
     )
 
 
-def _q_nation_trade(sf_dir: str):
-    """TPC-H Q7-shape bilateral trade matrix: revenue per (customer
-    nation, supplier nation) across the 4-table join chain — dimension
-    dict for nation names, keyed hash joins for every large side,
-    cent-lattice revenue with per-batch combiners before the 25×25
-    groupby."""
-    from graphiti_ray.pipelines.relational import nation_trade_matrix
-
-    return nation_trade_matrix(sf_dir)
-
-
 def _q_kg_workforce_by_place(sf_dir: str):
     """Aggregate over the 2-hop BGP: for each place, how many distinct
     people CURRENTLY work at an org located there — the path query's
@@ -6820,67 +5690,6 @@ def _q_kg_invalidations(sf_dir: str):
 
     tables = _kg_tables(sf_dir, embeddings=False)
     return invalidation_report(tables["edges"])
-
-
-def _q_orders_late(sf_dir: str):
-    """TPC-H Q4-shape late-shipment census (EXISTS semi-join): orders
-    placed in 1995 with at least one lineitem shipped more than 90 days
-    after the order date, counted per priority. Predicate pushed into
-    the orders read, narrow 2-column lineitem side, hash join → in-block
-    distinct combiner → one vocabulary-sized groupby."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    from graphiti_ray.stages.link import default_join_partitions, safe_join
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
-        filter=(
-            (pc.field("o_orderdate") >= pa.scalar(__import__("datetime").datetime(1995, 1, 1)))
-            & (pc.field("o_orderdate") < pa.scalar(__import__("datetime").datetime(1996, 1, 1)))
-        ),
-    )
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_shipdate"]
-    ).map_batches(
-        lambda t: t.rename_columns(["o_orderkey", "l_shipdate"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    joined = safe_join(
-        orders,
-        li,
-        join_type="inner",
-        num_partitions=default_join_partitions(),
-        on=("o_orderkey",),
-    )
-    late_us = 90 * 86400 * 1_000_000
-
-    def late_distinct(t: pa.Table) -> pa.Table:
-        ship = pc.cast(pc.cast(t.column("l_shipdate"), pa.timestamp("us")), pa.int64())
-        od = pc.cast(pc.cast(t.column("o_orderdate"), pa.timestamp("us")), pa.int64())
-        t = t.filter(pc.greater(ship, pc.add(od, late_us)))
-        g = (
-            t.select(["o_orderkey", "o_orderpriority"])
-            .group_by(["o_orderkey", "o_orderpriority"])
-            .aggregate([([], "count_all")])
-        )
-        return g.drop_columns([g.column_names[-1]])
-
-    distinct = (
-        joined.map_batches(late_distinct, batch_format="pyarrow")
-        .groupby(["o_orderkey", "o_orderpriority"])
-        .aggregate(Count(alias_name="_c"))
-        .drop_columns(["_c"])
-    )
-    return (
-        distinct.groupby("o_orderpriority")
-        .aggregate(Count(alias_name="order_count"))
-    )
 
 
 def _q_kg_path_query(sf_dir: str):
@@ -8014,134 +6823,6 @@ FROM summed
 """
 
 
-
-def _q_events_seasonality(sf_dir: str):
-    """Day-of-week activity profile + exact chi-square uniformity
-    statistic (chi2_e6 = Σ(7·o_d − n)²·1e6 // (7n) — single-denominator
-    integer lattice, no float expected counts)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        # ISO day of week 1..7 (DuckDB isodow parity)
-        us = pc.cast(pc.cast(t.column("ts"), pa.timestamp("us")), pa.int64())
-        # CALENDAR day index: isodow is calendar-defined, so pre-epoch
-        # must FLOOR (the day containing the instant), unlike the
-        # //-twin sites which truncate with DuckDB ``//``
-        days = np.floor_divide(
-            us.to_numpy(zero_copy_only=False), 86400 * 1_000_000
-        )
-        # 1970-01-01 is a Thursday = isodow 4
-        dow = ((days + 3) % 7) + 1
-        d, c = np.unique(dow, return_counts=True)
-        return pa.table(
-            {
-                "isodow": pa.array(d, pa.int64()),
-                "n": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
-
-    per_dow = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("isodow")
-        .aggregate(Sum("n", alias_name="n"))
-        .take_all()  # ≤ 7 rows
-    )
-    total = sum(int(r["n"]) for r in per_dow)
-    rows = sorted(per_dow, key=lambda r: r["isodow"])
-    chi_num = sum((7 * int(r["n"]) - total) ** 2 for r in rows)
-    # days with zero events still contribute (0·7 − n)²
-    chi_num += (7 - len(rows)) * total**2
-    chi2_e6 = (chi_num * 1_000_000) // (7 * total) if total else 0
-    return rd.from_arrow(
-        pa.table(
-            {
-                "isodow": pa.array([int(r["isodow"]) for r in rows], pa.int64()),
-                "n": pa.array([int(r["n"]) for r in rows], pa.int64()),
-                "chi2_e6": pa.array([chi2_e6] * len(rows), pa.int64()),
-            }
-        )
-    )
-
-
-_EVENTS_SEASONALITY_ORACLE = """
-WITH d AS (
-  SELECT isodow(ts)::BIGINT AS isodow, count(*)::BIGINT AS n
-  FROM events GROUP BY 1
-),
-tot AS (SELECT sum(n)::BIGINT AS total FROM d),
-chi AS (
-  SELECT (sum((7 * n - total) * (7 * n - total))
-          + (7 - count(*)) * total * total)::BIGINT AS num, total
-  FROM d CROSS JOIN tot GROUP BY total
-)
-SELECT d.isodow, d.n, ((chi.num * 1000000) // (7 * chi.total))::BIGINT AS chi2_e6
-FROM d CROSS JOIN chi
-"""
-
-
-def _q_lineitem_benford(sf_dir: str):
-    """Benford first-digit census over lineitem extended prices (the
-    accounting-QA classic): digits from the INTEGER cent lattice via
-    string heads (engine-stable, no float log10 boundaries)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"]
-    )
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(
-            pc.floor(
-                pc.add(pc.multiply(t.column("l_extendedprice"), 100.0), 0.5)
-            ),
-            pa.int64(),
-        ).to_numpy(zero_copy_only=False)
-        cents = cents[cents > 0]
-        # np.char.mod gives full strings; astype('S1') keeps the first
-        # byte, and astype(int64) PARSES that digit
-        first = (
-            np.char.mod("%d", cents).astype("S1").astype(np.int64)
-            if len(cents)
-            else np.zeros(0, np.int64)
-        )
-        d, c = np.unique(first, return_counts=True)
-        return pa.table(
-            {
-                "digit": pa.array(d, pa.int64()),
-                "n": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
-
-    return (
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("digit")
-        .aggregate(Sum("n", alias_name="n"))
-    )
-
-
-_LINEITEM_BENFORD_ORACLE = """
-SELECT CAST(substr(CAST(cents AS VARCHAR), 1, 1) AS BIGINT) AS digit,
-       count(*)::BIGINT AS n
-FROM (
-  SELECT CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT) AS cents
-  FROM lineitem
-) WHERE cents > 0
-GROUP BY 1
-"""
-
-
 def _q_docs_corr(sf_dir: str):
     """Pearson correlation census between doc length (chars) and
     whitespace-token count: exact int64 moment sums, one tiny reduce,
@@ -8231,45 +6912,6 @@ SELECT ta AS n_a, tb AS n_b,
        max(abs(ca * tb - cb * ta))::BIGINT AS d_num,
        ((max(abs(ca * tb - cb * ta)) * 1000000) // (ta * tb))::BIGINT AS ks_e6
 FROM cum CROSS JOIN tot GROUP BY ta, tb
-"""
-
-
-def _q_orders_priority(sf_dir: str):
-    """TPC-H Q3 shape: top-10 revenue orders for the BUILDING segment via
-    customers ⋈ orders ⋈ lineitem on the exact cent lattice."""
-    from graphiti_ray.pipelines.relational import shipping_priority
-
-    return shipping_priority(sf_dir)
-
-
-_ORDERS_PRIORITY_ORACLE = """
-SELECT o.o_orderkey::BIGINT AS o_orderkey, o.o_orderdate,
-       sum(CAST(floor(l.l_extendedprice * (1 - l.l_discount) * 100 + 0.5)
-                AS BIGINT))::BIGINT AS revenue_cents
-FROM customer c
-JOIN orders o ON o.o_custkey = c.c_custkey
-JOIN lineitem l ON l.l_orderkey = o.o_orderkey
-WHERE c.c_mktsegment = 'BUILDING'
-GROUP BY 1, 2
-ORDER BY revenue_cents DESC, o_orderkey
-LIMIT 10
-"""
-
-
-def _q_customer_orders_hist(sf_dir: str):
-    """TPC-H Q13 shape: order-count distribution per customer including
-    the zero-order customers a LEFT OUTER join preserves."""
-    from graphiti_ray.pipelines.relational import customer_orders_histogram
-
-    return customer_orders_histogram(sf_dir)
-
-
-_CUSTOMER_ORDERS_HIST_ORACLE = """
-SELECT c_count, count(*)::BIGINT AS custdist FROM (
-  SELECT c.c_custkey, count(o.o_custkey)::BIGINT AS c_count
-  FROM customer c LEFT JOIN orders o ON o.o_custkey = c.c_custkey
-  GROUP BY 1
-) GROUP BY 1
 """
 
 
@@ -8399,36 +7041,6 @@ def _q_dedup_ppjoin(sf_dir: str):
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return ngram_jaccard_ppjoin(docs, threshold=0.8)
-
-
-def _q_events_watermark(sf_dir: str):
-    """Streaming watermark / late-event census (bounded out-of-orderness,
-    Flink-style): arrival order = event_id, watermark = strict-prefix
-    max(ts) − 1h; one sort + per-block exclusive running max with an
-    int64 carry between blocks."""
-    import ray.data as rd
-
-    from graphiti_ray.stages.windows import watermark_late_events
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "ts"])
-    return watermark_late_events(ev, delay_s=3600)
-
-
-_EVENTS_WATERMARK_ORACLE = """
-WITH wm AS (
-  SELECT event_id, ts,
-         max(ts) OVER (ORDER BY event_id
-                       ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)
-           AS prefix_max
-  FROM events
-)
-SELECT event_id, ts,
-       prefix_max - INTERVAL 3600 SECOND AS watermark,
-       (CASE WHEN prefix_max IS NOT NULL
-              AND ts < prefix_max - INTERVAL 3600 SECOND
-             THEN 1 ELSE 0 END)::BIGINT AS late
-FROM wm
-"""
 
 
 def _q_docs_source_epochs(sf_dir: str):
@@ -8564,34 +7176,24 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_llr": _q_docs_llr,
         "embeddings_pca": _q_embeddings_pca,
         "kg_path_query": _q_kg_path_query,
-        "orders_late": _q_orders_late,
         "kg_invalidations": _q_kg_invalidations,
         "embeddings_cos_hist": _q_embeddings_cos_hist,
-        "customer_rfm": _q_customer_rfm,
         "docs_bpe_train": _q_docs_bpe_train,
         "web_host_triads": _q_web_host_triads,
         "kg_workforce_by_place": _q_kg_workforce_by_place,
-        "nation_trade": _q_nation_trade,
         "kg_path_query_asof": _q_kg_path_query_asof,
-        "events_seasonality": _q_events_seasonality,
-        "lineitem_benford": _q_lineitem_benford,
         "docs_corr": _q_docs_corr,
         "docs_ks_drift": _q_docs_ks_drift,
-        "orders_priority": _q_orders_priority,
-        "customer_orders_hist": _q_customer_orders_hist,
         "embeddings_ood": _q_embeddings_ood,
         "kg_edge_churn": _q_kg_edge_churn,
         "kg_integrity": _q_kg_integrity,
         "dedup_ppjoin": _q_dedup_ppjoin,
-        "events_watermark": _q_events_watermark,
         "docs_source_epochs": _q_docs_source_epochs,
         "docs_ccnet_buckets": _q_docs_ccnet_buckets,
         "knn_hard_negatives": _q_knn_hard_negatives,
         "crawl_budget": _q_crawl_budget,
         "web_core_rank": _q_web_core_rank,
         "web_degree_alpha": _q_web_degree_alpha,
-        "events_funnel3": _q_events_funnel3,
-        "events_attribution": _q_events_attribution,
         "cdx_revisits": _q_cdx_revisits,
         "web_component_sizes": _q_web_component_sizes,
         "web_rank_weighted": _q_web_rank_weighted,
@@ -8618,7 +7220,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "web_link_graph": _q_web_link_graph,
         "web_host_pagerank": _q_web_host_pagerank,
         "graph_clustering": _q_graph_clustering,
-        "events_scd2": _q_events_scd2,
         "docs_bpe_pairs": _q_docs_bpe_pairs,
         "graph_adamic_adar": _q_graph_adamic_adar,
         "pages_url_normalize": _q_pages_url_normalize,
@@ -8633,21 +7234,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "fuzzy_pairs": _q_fuzzy_pairs,
         "docs_lucene": _q_docs_lucene,
         "docs_fingerprint": _q_docs_fingerprint,
-        "image_phash": _q_image_phash,
         "dedup_levenshtein": _q_dedup_levenshtein,
         "docs_hll_by_lang": _q_docs_hll_by_lang,
         "graph_modularity": _q_graph_modularity,
         "docs_temperature": _q_docs_temperature,
-        "events_funnel": _q_events_funnel,
         "docs_histogram": _q_docs_histogram,
         "lang_top_tokens": _q_lang_top_tokens,
-        "events_rolling": _q_events_rolling,
-        "events_mad": _q_events_mad,
         "embeddings_jl": _q_embeddings_jl,
         "docs_intersect": _q_docs_intersect,
         "docs_except": _q_docs_except,
-        "events_rank": _q_events_rank,
-        "sessions_overlap": _q_sessions_overlap,
         "lang_distinct_texts": _q_lang_distinct_texts,
         "docs_rollup": _q_docs_rollup,
         "docs_checksum": _q_docs_checksum,
@@ -8657,15 +7252,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "lang_centroids": _q_lang_centroids,
         "docs_entropy": _q_docs_entropy,
         "lang_moments": _q_lang_moments,
-        "events_transitions": _q_events_transitions,
         "docs_weighted_sample": _q_docs_weighted_sample,
         "docs_shards": _q_docs_shards,
         "docs_bloom_join": _q_docs_bloom_join,
-        "events_ffill": _q_events_ffill,
         "docs_pivot": _q_docs_pivot,
-        "events_ntile": _q_events_ntile,
         "docs_melt": _q_docs_melt,
-        "events_cohorts": _q_events_cohorts,
         "docs_cube": _q_docs_cube,
         "docs_encode": _q_docs_encode,
         "knn_neighbor_agg": _q_knn_neighbor_agg,
@@ -8674,13 +7265,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_phrase": _q_docs_phrase,
         "docs_zorder": _q_docs_zorder,
         "tokens_cms_by_lang": _q_tokens_cms_by_lang,
-        "events_growth": _q_events_growth,
         "docs_profile": _q_docs_profile,
         "docs_skyline": _q_docs_skyline,
-        "events_json": _q_events_json,
-        "regional_volume": _q_regional_volume,
-        "promo_revenue": _q_promo_revenue,
-        "events_zscore": _q_events_zscore,
         "docs_cdc": _q_docs_cdc,
         "docs_novelty": _q_docs_novelty,
         "graph_hits": _q_graph_hits,
@@ -8705,7 +7291,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "graph_salsa": _q_graph_salsa,
         "docs_trending": _q_docs_trending,
         "docs_proximity": _q_docs_proximity,
-        "events_markov": _q_events_markov,
         "docs_len_quantiles_by_lang": _q_docs_len_quantiles_by_lang,
         "kg_negative_samples": _q_kg_negative_samples,
         "kg_validity_islands": _q_kg_validity_islands,
@@ -8725,24 +7310,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_node_summaries": _q_kg_node_summaries,
         "web_distance_histogram": _q_web_distance_histogram,
         "kg_pred_pairs": _q_kg_pred_pairs,
-        "events_gaps": _q_events_gaps,
         "docs_training_mix": _q_docs_training_mix,
         "graph_transitivity": _q_graph_transitivity,
         "docs_vocab_growth": _q_docs_vocab_growth,
         "docs_zipf_alpha": _q_docs_zipf_alpha,
         "docs_gini": _q_docs_gini,
-        "events_streaks": _q_events_streaks,
         "kg_entity_pmi": _q_kg_entity_pmi,
         "docs_diversity": _q_docs_diversity,
         "docs_mi": _q_docs_mi,
         "docs_bm25_batch": _q_docs_bm25_batch,
         "dedup_incremental": _q_dedup_incremental,
-        "events_baskets": _q_events_baskets,
         "docs_coverage": _q_docs_coverage,
         "embeddings_pq": _q_embeddings_pq,
         "knn_pq": _q_knn_pq,
         "docs_len_quantiles": _q_docs_len_quantiles,
-        "events_regression": _q_events_regression,
         "dedup_snm": _q_dedup_snm,
         "docs_minimizers": _q_docs_minimizers,
         "dedup_minimizer": _q_dedup_minimizer,
@@ -8778,15 +7359,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_hll": _q_docs_hll,
         "tokens_cms": _q_tokens_cms,
         "docs_bloom": _q_docs_bloom,
-        "pricing_summary": _q_pricing_summary,
-        "top_customers": _q_top_customers,
-        "lang_doc_stats": _q_lang_doc_stats,
-        "events_tumbling": _q_events_tumbling,
-        "events_asof": _q_events_asof,
-        "events_topk": _q_events_topk,
-        "events_quantiles": _q_events_quantiles,
-        "events_sliding": _q_events_sliding,
-        "events_session": _q_events_session,
         "docs_quality_filter": _q_docs_quality_filter,
         "docs_sample": _q_docs_sample,
         "lang_doc_stats_salted": _q_lang_doc_stats_salted,
@@ -8795,8 +7367,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "text_langid": _q_text_langid,
         "docs_repetition": _q_docs_repetition,
         "docs_dup_lines": _q_docs_dup_lines,
-        "media_features": _q_media_features,
-        "media_wav_features": _q_media_wav,
         "kg_mentions_reflexion": _q_kg_mentions_reflexion,
     }
 
@@ -8851,14 +7421,9 @@ SELECT
 def _oracle_sql_base() -> dict[str, str]:
     return {
         "dedup_ppjoin": _ngram_oracle_sql("jaccard", 0.8),
-        "events_seasonality": _EVENTS_SEASONALITY_ORACLE,
-        "lineitem_benford": _LINEITEM_BENFORD_ORACLE,
         "docs_corr": _DOCS_CORR_ORACLE,
         "docs_ks_drift": _DOCS_KS_ORACLE,
-        "orders_priority": _ORDERS_PRIORITY_ORACLE,
-        "customer_orders_hist": _CUSTOMER_ORDERS_HIST_ORACLE,
         "embeddings_ood": _EMBEDDINGS_OOD_ORACLE,
-        "events_watermark": _EVENTS_WATERMARK_ORACLE,
         "docs_source_epochs": _SOURCE_EPOCHS_ORACLE,
         "docs_ccnet_buckets": _CCNET_BUCKETS_ORACLE,
         "knn_hard_negatives": _HARD_NEGATIVES_ORACLE,
@@ -8869,9 +7434,7 @@ def _oracle_sql_base() -> dict[str, str]:
         "graph_salsa": _salsa_oracle_sql(),
         "docs_trending": _DOCS_TRENDING_ORACLE,
         "docs_proximity": _DOCS_PROXIMITY_ORACLE,
-        "events_markov": _markov_oracle_sql(),
         "docs_len_quantiles_by_lang": _DOCS_LEN_QUANTILES_BY_LANG_ORACLE,
-        "events_baskets": _EVENTS_BASKETS_ORACLE,
         "docs_coverage": _coverage_oracle_sql(),
         "tokens_mg": _TOKENS_MG_ORACLE,
         "web_cocitation": _common_nbr_oracle_sql("src"),
@@ -8920,12 +7483,10 @@ WITH {_BASE_CTE.lstrip()},
 {_RESOLVED_CTE.lstrip()},
 {_KG_PRED_PAIRS_TAIL.lstrip()}
 """,
-        "events_gaps": _EVENTS_GAPS_ORACLE,
         "docs_training_mix": _DOCS_TRAINING_MIX_ORACLE,
         "docs_vocab_growth": _DOCS_VOCAB_GROWTH_ORACLE,
         "docs_zipf_alpha": _DOCS_ZIPF_ALPHA_ORACLE,
         "docs_gini": _DOCS_GINI_ORACLE,
-        "events_streaks": _EVENTS_STREAKS_ORACLE,
         "docs_diversity": _DOCS_DIVERSITY_ORACLE,
         "docs_mi": _DOCS_MI_ORACLE,
         "docs_bm25_batch": _bm25_batch_oracle_sql(),
@@ -9161,49 +7722,6 @@ SELECT url, warc_ts, crawl_rev, digest,
          AS is_revisit
 FROM d
 """,
-        # native ASOF LEFT JOIN twin + identical integer window flag
-        "events_attribution": """
-WITH p AS (
-  SELECT event_id, user_id, ts FROM events WHERE event_type = 'purchase'
-),
-c AS (
-  SELECT user_id, ts, event_id AS click_id, ts AS click_ts
-  FROM events WHERE event_type = 'click'
-)
-SELECT p.event_id, p.user_id, p.ts, c.click_id, c.click_ts,
-       (c.click_id IS NOT NULL
-        AND epoch_us(p.ts) - epoch_us(c.click_ts) <= 3600000000)
-         AS attributed
-FROM p ASOF LEFT JOIN c
-  ON p.user_id = c.user_id AND p.ts >= c.ts
-""",
-        # sequential first-step mins, each hop gated by the previous
-        "events_funnel3": """
-WITH s1 AS (
-  SELECT user_id, min(ts) AS t_1 FROM events
-  WHERE event_type = 'view' GROUP BY 1
-),
-s2 AS (
-  SELECT e.user_id, min(e.ts) AS t_2
-  FROM events e JOIN s1 ON s1.user_id = e.user_id
-  WHERE e.event_type = 'click' AND e.ts >= s1.t_1
-    AND epoch_us(e.ts) - epoch_us(s1.t_1) <= 86400000000
-  GROUP BY 1
-),
-s3 AS (
-  SELECT e.user_id, min(e.ts) AS t_3
-  FROM events e JOIN s2 ON s2.user_id = e.user_id
-  WHERE e.event_type = 'purchase' AND e.ts >= s2.t_2
-    AND epoch_us(e.ts) - epoch_us(s2.t_2) <= 86400000000
-  GROUP BY 1
-)
-SELECT s1.user_id, s1.t_1, s2.t_2, s3.t_3,
-       (1 + CASE WHEN s2.t_2 IS NULL THEN 0 ELSE 1 END
-          + CASE WHEN s3.t_3 IS NULL THEN 0 ELSE 1 END)::BIGINT AS reached
-FROM s1
-LEFT JOIN s2 ON s2.user_id = s1.user_id
-LEFT JOIN s3 ON s3.user_id = s1.user_id
-""",
         # Hill MLE on the 1e-6 ln lattice; HUGEINT division, trunc
         "web_degree_alpha": f"""
 WITH {_LINK_GRAPH_CTE.lstrip()},
@@ -9277,34 +7795,6 @@ p AS (
 )
 SELECT doc_a, doc_b, (1000000 * inter) // uni AS jacc_e6
 FROM p WHERE uni > 0 AND (1000000 * inter) // uni >= 500000
-""",
-        # sufficient-statistics OLS: everything on the integer lattice the
-        # Ray kernel uses (hours since 2024-01-01, floor(value·1000));
-        # HUGEINT for the closed form, // truncation matching the kernel
-        "events_regression": """
-WITH q AS (
-  SELECT event_type,
-         (epoch_us(ts) - 1704067200000000) // 3600000000 AS x,
-         CAST(floor(value * 1000) AS BIGINT) AS y
-  FROM events
-),
-s AS (
-  SELECT event_type,
-         count(*)::BIGINT AS n,
-         sum(x)::BIGINT AS sum_x,
-         sum(y)::BIGINT AS sum_y,
-         sum(x * y)::HUGEINT AS sxy,
-         sum(x * x)::HUGEINT AS sxx
-  FROM q GROUP BY 1
-)
-SELECT event_type, n, sum_x, sum_y,
-       CAST(n * sxy - sum_x::HUGEINT * sum_y AS BIGINT) AS num,
-       CAST(n * sxx - sum_x::HUGEINT * sum_x AS BIGINT) AS den,
-       CAST(CASE WHEN n * sxx - sum_x::HUGEINT * sum_x = 0 THEN 0
-            ELSE ((n * sxy - sum_x::HUGEINT * sum_y) * 1000000)
-                 // (n * sxx - sum_x::HUGEINT * sum_x)
-       END AS BIGINT) AS slope_e6
-FROM s
 """,
         "kg_episodes": f"""
 WITH {_BASE_CTE.lstrip()}
@@ -9649,85 +8139,6 @@ FROM w
         # IVF at full probe must equal exact brute force — same twin
         "knn_ivf_full": _KNN_ORACLE,
         "knn_bruteforce": _KNN_ORACLE,
-        "events_tumbling": """
-WITH ev AS (
-  SELECT user_id, ts, CAST(floor(value * 100 + 0.5) AS BIGINT) AS v
-  FROM events
-)
-SELECT user_id,
-       make_timestamp((epoch_us(ts) // 600000000) * 600000000) AS window_start,
-       sum(v)::BIGINT AS sum_value_cents,
-       min(v)::BIGINT AS min_value_cents,
-       max(v)::BIGINT AS max_value_cents,
-       count(*)::BIGINT AS n_events
-FROM ev GROUP BY 1, 2
-""",
-        "events_quantiles": """
-WITH ev AS (
-  SELECT user_id, CAST(floor(value * 100 + 0.5) AS BIGINT) AS value_cents
-  FROM events
-),
-r AS (
-  SELECT user_id, value_cents,
-         row_number() OVER (PARTITION BY user_id ORDER BY value_cents) - 1
-           AS rn,
-         count(*) OVER (PARTITION BY user_id) AS n
-  FROM ev
-)
-SELECT user_id, q, value_cents AS quantile_value
-FROM r, (VALUES (0.5), (0.9)) AS qv(q)
-WHERE rn = CAST(floor(q * (n - 1)) AS BIGINT)
-""",
-        "events_topk": """
-WITH ev AS (
-  SELECT user_id, ts, CAST(floor(value * 100 + 0.5) AS BIGINT) AS value_cents
-  FROM events
-)
-SELECT user_id, ts, value_cents, rank FROM (
-  SELECT user_id, ts, value_cents,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY value_cents DESC, ts) AS rank
-  FROM ev
-) WHERE rank <= 3
-""",
-        "events_asof": """
-WITH ev AS (
-  SELECT user_id, ts, CAST(floor(value * 100 + 0.5) AS BIGINT) AS value_cents
-  FROM events
-),
-win AS (
-  SELECT user_id,
-         make_timestamp((epoch_us(ts) // 600000000) * 600000000
-                        + 600000000) AS wend,
-         sum(value_cents)::BIGINT AS prev_window_sum
-  FROM ev GROUP BY 1, 2
-)
-SELECT e.user_id, e.ts, e.value_cents, w.prev_window_sum
-FROM ev e ASOF LEFT JOIN win w
-  ON e.user_id = w.user_id AND e.ts >= w.wend
-""",
-        "events_sliding": """
-WITH ev AS (
-  SELECT user_id, ts, CAST(floor(value * 100 + 0.5) AS BIGINT) AS v
-  FROM events
-),
-exploded AS (
-  SELECT user_id,
-         make_timestamp((epoch_us(ts) // 300000000) * 300000000) AS window_start,
-         v
-  FROM ev
-  UNION ALL
-  SELECT user_id,
-         make_timestamp((epoch_us(ts) // 300000000) * 300000000
-                        - 300000000) AS window_start,
-         v
-  FROM ev
-)
-SELECT user_id, window_start,
-       count(*)::BIGINT AS n_events,
-       sum(v)::BIGINT AS sum_value_cents
-FROM exploded GROUP BY 1, 2
-""",
         "dedup_embedding": """
 SELECT a.vec_id AS a, b.vec_id AS b,
        round(list_cosine_similarity(a.embedding::DOUBLE[],
@@ -9770,111 +8181,6 @@ SELECT doc_id,
        greatest(de_h, en_h, es_h, fr_h)::BIGINT AS lang_hits,
        n_words
 FROM s
-""",
-        # the REAL WAV decoder: 44-byte canonical header + 512 sample
-        # bytes; features = per-8-sample-chunk trunc-mean of |x| (sum/8 is
-        # power-of-two-exact in float64, so // replicates int(mean()))
-        "media_wav_features": """
-WITH ids AS (SELECT doc_id FROM documents),
-samples AS (
-  SELECT doc_id, i,
-         abs(((doc_id * 7919 + i * 104729) % 24001) - 12000)::BIGINT AS v
-  FROM ids, LATERAL unnest(range(0, 256)) AS u(i)
-),
-chunks AS (
-  SELECT doc_id, i // 8 AS c, sum(v) AS s FROM samples GROUP BY 1, 2
-),
-feats AS (SELECT doc_id, (s // 8)::BIGINT AS f FROM chunks)
-SELECT doc_id AS media_id, 556::BIGINT AS n_bytes,
-       sum(f)::BIGINT AS feat_sum, max(f)::BIGINT AS feat_max
-FROM feats GROUP BY 1
-""",
-        "media_features": rf"""
-WITH consts AS (SELECT {_POW64_SQL} AS pw),
-mstats AS (
-  SELECT doc_id, text, length(text) AS len,
-         greatest(1, length(text) // 32) AS n
-  FROM documents
-),
-chunks AS (
-  SELECT doc_id, len, n, u.i,
-         greatest(0, least(n, len - u.i * n)) AS cl
-  FROM mstats, (SELECT unnest(range(0, 32)) AS i) u
-),
-ch AS (
-  SELECT c.doc_id, c.i,
-         (coalesce(list_aggregate(list_transform(range(1, c.cl + 1),
-              j -> ord(substr(m.text, c.i * c.n + j, 1))::HUGEINT
-                   * pw[c.cl - j + 1]),
-            'sum'), 0::HUGEINT)
-          % 18446744073709551616::HUGEINT) % 1000 AS h
-  FROM chunks c JOIN mstats m USING (doc_id), consts
-)
-SELECT ch.doc_id AS media_id,
-       CASE ch.doc_id % 3 WHEN 0 THEN 'image/jpeg' WHEN 1 THEN 'audio/wav'
-            ELSE 'video/mp4' END AS mime,
-       min(m.len)::BIGINT AS n_bytes,
-       sum(ch.h)::BIGINT AS feat_sum,
-       max(ch.h)::BIGINT AS feat_max
-FROM ch JOIN mstats m USING (doc_id)
-GROUP BY 1, 2
-""",
-        # dHash bits re-derived straight from the pixel arithmetic (the
-        # fixture's sampled grid is exactly the odd coordinates); banding,
-        # MAX_BUCKET cap and first-shared-band emission mirrored like the
-        # minhash/simhash oracles
-        "image_phash": f"""
-WITH grid AS (
-  SELECT d.doc_id, rr.r, cc.c, (2 * rr.r + 1) AS y, (2 * cc.c + 1) AS x
-  FROM documents d, LATERAL unnest(range(8)) AS rr(r),
-       LATERAL unnest(range(9)) AS cc(c)
-),
-px AS (
-  SELECT doc_id, r, c,
-         ((doc_id // 4 + 1) * (y * 18 + x + 7) * (y * 18 + x + 7) * 104729)
-           % 251 % 200
-           + CASE WHEN x = 1 AND y = 1 THEN (doc_id % 4) * 8 ELSE 0 END AS v
-  FROM grid
-),
-bv AS (
-  SELECT a.doc_id, (a.r * 8 + a.c)::BIGINT AS bit,
-         CASE WHEN a.v > b.v THEN 1 ELSE 0 END AS b
-  FROM px a JOIN px b ON b.doc_id = a.doc_id AND b.r = a.r AND b.c = a.c + 1
-),
-bands AS (
-  SELECT doc_id, (bit // 16)::INT AS band,
-         sum(b * (1::BIGINT << (bit % 16)))::BIGINT AS bval
-  FROM bv GROUP BY 1, 2
-),
-hot AS (SELECT band, bval FROM bands GROUP BY 1, 2 HAVING count(*) >= 2),
-rk AS (
-  SELECT b.*, row_number() OVER (PARTITION BY b.band, b.bval
-                                 ORDER BY b.doc_id) AS rk
-  FROM bands b JOIN hot USING (band, bval)
-),
-cand AS (
-  SELECT a.doc_id AS a, b.doc_id AS b, a.band
-  FROM rk a JOIN rk b
-    ON a.band = b.band AND a.bval = b.bval AND a.doc_id < b.doc_id
-   AND a.rk <= {_MAX_BUCKET_SQL} AND b.rk <= {_MAX_BUCKET_SQL}
-),
-fb AS (
-  SELECT c.a, c.b, c.band, min(x.band) AS fband
-  FROM cand c
-  JOIN bands x ON x.doc_id = c.a
-  JOIN bands y ON y.doc_id = c.b AND y.band = x.band AND y.bval = x.bval
-  GROUP BY 1, 2, 3
-),
-pairs0 AS (SELECT DISTINCT a, b FROM fb WHERE band = fband),
-ham AS (
-  SELECT p.a, p.b,
-         sum(CASE WHEN xa.b <> xb.b THEN 1 ELSE 0 END)::BIGINT AS hamming
-  FROM pairs0 p
-  JOIN bv xa ON xa.doc_id = p.a
-  JOIN bv xb ON xb.doc_id = p.b AND xb.bit = xa.bit
-  GROUP BY 1, 2
-)
-SELECT a, b, hamming FROM ham WHERE hamming <= 2
 """,
         "docs_repetition": r"""
 WITH lines AS (
@@ -9924,25 +8230,6 @@ chunks AS (
 dl AS (SELECT DISTINCT doc_id, md5(ln) AS line_hash FROM chunks)
 SELECT line_hash, count(*)::BIGINT AS n_docs, min(doc_id) AS keep_doc
 FROM dl GROUP BY line_hash HAVING count(*) >= 2
-""",
-        "events_session": """
-WITH marks AS (
-  SELECT user_id, ts,
-         CASE WHEN lag(ts) OVER w IS NULL
-              OR epoch_us(ts) - epoch_us(lag(ts) OVER w) > 1800 * 1000000
-              THEN 1 ELSE 0 END AS new_s
-  FROM events
-  WINDOW w AS (PARTITION BY user_id ORDER BY ts)
-),
-sess AS (
-  SELECT user_id, ts,
-         sum(new_s) OVER (PARTITION BY user_id ORDER BY ts
-                          ROWS UNBOUNDED PRECEDING) AS sid
-  FROM marks
-)
-SELECT user_id, min(ts) AS session_start, max(ts) AS session_end,
-       count(*)::BIGINT AS n_events
-FROM sess GROUP BY user_id, sid
 """,
         "docs_quality_filter": r"""
 SELECT doc_id, n_chars
@@ -10008,26 +8295,6 @@ SELECT d.doc_id, d.lang
 FROM documents d JOIN thr ON thr.lang = d.lang
 WHERE substr(md5(CAST(d.doc_id AS VARCHAR)), 1, 8) < thr.t
 """,
-        "pricing_summary": """
-SELECT l_returnflag, l_linestatus,
-       sum(CAST(floor(l_quantity * 100 + 0.5) AS BIGINT))::BIGINT AS sum_qty_cents,
-       sum(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT))::BIGINT AS sum_price_cents,
-       sum(CAST(floor(l_extendedprice * (1 - l_discount) * 100 + 0.5) AS BIGINT))::BIGINT
-         AS sum_revenue_cents,
-       count(*)::BIGINT AS n_rows
-FROM lineitem GROUP BY 1, 2
-""",
-        "top_customers": """
-SELECT o.o_custkey, c.c_name, c.c_mktsegment,
-       sum(CAST(floor(o.o_totalprice * 100 + 0.5) AS BIGINT))::BIGINT
-         AS sum_total_cents,
-       count(*)::BIGINT AS n_orders
-FROM orders o JOIN customer c ON c.c_custkey = o.o_custkey
-GROUP BY 1, 2, 3
-ORDER BY sum_total_cents DESC, o.o_custkey ASC
-LIMIT 10
-""",
-        "lang_doc_stats": _LANG_STATS_ORACLE,
         # the salted two-phase path must equal the plain groupby — one
         # oracle, two shuffle strategies
         "lang_doc_stats_salted": _LANG_STATS_ORACLE,
@@ -10071,23 +8338,6 @@ verts AS (
 )
 SELECT v AS entity_uuid, count(*)::BIGINT AS n_triangles
 FROM verts GROUP BY 1
-""",
-        "events_scd2": """
-WITH s AS (
-  SELECT user_id, event_type, ts, event_id,
-         lag(event_type) OVER
-           (PARTITION BY user_id ORDER BY ts, event_id) AS prev_et
-  FROM events
-),
-st AS (
-  SELECT user_id, event_type, ts AS valid_from, event_id
-  FROM s WHERE prev_et IS NULL OR prev_et <> event_type
-)
-SELECT user_id, event_type, valid_from,
-       lead(valid_from) OVER
-         (PARTITION BY user_id ORDER BY valid_from, event_id) AS valid_to,
-       event_id
-FROM st
 """,
         "graph_clustering": f"""
 WITH {_BASE_CTE.lstrip()},
@@ -10459,28 +8709,6 @@ FROM md WHERE d > 0 GROUP BY 1
 """,
         "docs_bpe_train": _bpe_oracle_sql(10),
         "web_host_triads": _triads_oracle_sql(),
-        "customer_rfm": """
-WITH base AS (
-  SELECT o_custkey,
-         epoch_us(max(o_orderdate)) AS last_us,
-         count(*)::BIGINT AS freq,
-         sum(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT))::BIGINT
-           AS cents
-  FROM orders GROUP BY 1
-),
-r AS (
-  SELECT *, row_number() OVER (ORDER BY last_us, o_custkey) AS rr,
-         count(*) OVER () AS n
-  FROM base
-),
-f AS (SELECT *, row_number() OVER (ORDER BY freq, o_custkey) AS fr FROM r),
-m AS (SELECT *, row_number() OVER (ORDER BY cents, o_custkey) AS mr FROM f)
-SELECT (((rr - 1) * 5) // n + 1)::BIGINT AS r_q,
-       (((fr - 1) * 5) // n + 1)::BIGINT AS f_q,
-       (((mr - 1) * 5) // n + 1)::BIGINT AS m_q,
-       count(*)::BIGINT AS n_customers
-FROM m GROUP BY 1, 2, 3
-""",
         # exact integer dots/norms on the e3 lattice; the one float op per
         # pair (dot / sqrt(na²·nb²) · 10, then floor) is IEEE-identical on
         # identical integer inputs in both engines
@@ -10532,15 +8760,6 @@ UNION ALL
 SELECT uuid, invalidated_by, invalid_at FROM sl
 WHERE invalidated_by IS NOT NULL
 """,
-        "orders_late": """
-SELECT o.o_orderpriority, count(DISTINCT o.o_orderkey)::BIGINT AS order_count
-FROM orders o
-JOIN lineitem l ON l.l_orderkey = o.o_orderkey
-WHERE o.o_orderdate >= TIMESTAMP '1995-01-01'
-  AND o.o_orderdate < TIMESTAMP '1996-01-01'
-  AND l.l_shipdate > o.o_orderdate + INTERVAL 90 DAY
-GROUP BY 1
-""",
         "kg_path_query": f"""
 WITH {_BASE_CTE.lstrip()},
 {_MENTIONS_CTE.lstrip()},
@@ -10588,19 +8807,6 @@ l AS (
 )
 SELECT DISTINCT w.person, w.org, l.place
 FROM w JOIN l ON l.group_id = w.group_id AND l.subj_uuid = w.obj_uuid
-""",
-        "nation_trade": """
-SELECT cn.n_name AS cust_nation, sn.n_name AS supp_nation,
-       sum(CAST(floor(l.l_extendedprice * (1.0 - l.l_discount) * 100.0
-                      + 0.5) AS BIGINT))::BIGINT AS revenue_cents,
-       count(*)::BIGINT AS n_items
-FROM lineitem l
-JOIN orders o ON o.o_orderkey = l.l_orderkey
-JOIN customer c ON c.c_custkey = o.o_custkey
-JOIN supplier s ON s.s_suppkey = l.l_suppkey
-JOIN nation cn ON cn.n_nationkey = c.c_nationkey
-JOIN nation sn ON sn.n_nationkey = s.s_nationkey
-GROUP BY 1, 2
 """,
         "kg_workforce_by_place": f"""
 WITH {_BASE_CTE.lstrip()},
@@ -11075,38 +9281,6 @@ GROUP BY 1, 2
 SELECT lang, count(DISTINCT md5(text))::BIGINT AS n_distinct
 FROM documents GROUP BY 1
 """,
-        "promo_revenue": """
-SELECT p.p_type,
-       CAST(sum(CAST(floor(l.l_extendedprice * (1 - l.l_discount) * 100
-                           + 0.5) AS BIGINT)) AS BIGINT) AS revenue_cents,
-       count(*)::BIGINT AS n_items
-FROM lineitem l JOIN part p ON p.p_partkey = l.l_partkey
-GROUP BY 1
-""",
-        "regional_volume": """
-SELECT n.n_name,
-       CAST(sum(CAST(floor(l.l_extendedprice * (1 - l.l_discount) * 100
-                           + 0.5) AS BIGINT)) AS BIGINT) AS revenue_cents,
-       count(*)::BIGINT AS n_items
-FROM lineitem l
-JOIN orders o ON o.o_orderkey = l.l_orderkey
-JOIN customer c ON c.c_custkey = o.o_custkey
-JOIN supplier s ON s.s_suppkey = l.l_suppkey
-JOIN nation n ON n.n_nationkey = c.c_nationkey
-JOIN region r ON r.r_regionkey = n.n_regionkey
-WHERE r.r_name = 'ASIA' AND s.s_nationkey = c.c_nationkey
-GROUP BY 1
-""",
-        "events_json": """
-SELECT event_type, count(*)::BIGINT AS n,
-       CAST(sum(CAST(json_extract(props, '$.k') AS BIGINT)) AS BIGINT)
-         AS sum_k,
-       CAST(min(CAST(json_extract(props, '$.k') AS BIGINT)) AS BIGINT)
-         AS min_k,
-       CAST(max(CAST(json_extract(props, '$.k') AS BIGINT)) AS BIGINT)
-         AS max_k
-FROM events GROUP BY 1
-""",
         # skyline: classic NOT-EXISTS dominance (≥ both, > at least one)
         "docs_skyline": r"""
 WITH w AS (
@@ -11137,18 +9311,6 @@ SELECT 'n_chars', count(*)::BIGINT, sum((n_chars IS NULL)::INT)::BIGINT,
        count(DISTINCT md5(n_chars::VARCHAR))::BIGINT,
        min(n_chars)::VARCHAR, max(n_chars)::VARCHAR
 FROM documents
-""",
-        "events_growth": """
-WITH f AS (
-  SELECT user_id,
-         CAST(min(epoch_us(ts)) // 86400000000 AS BIGINT) AS day
-  FROM events GROUP BY 1
-),
-d AS (SELECT day, count(*)::BIGINT AS new_users FROM f GROUP BY 1)
-SELECT day, new_users,
-       CAST(sum(new_users) OVER (ORDER BY day
-              ROWS UNBOUNDED PRECEDING) AS BIGINT) AS total_users
-FROM d
 """,
         # grouped CMS: same slice arithmetic as tokens_cms, plus lang
         "tokens_cms_by_lang": r"""
@@ -11285,20 +9447,6 @@ SELECT coalesce(lang, '(all)') AS lang,
 FROM documents
 GROUP BY CUBE(lang, source)
 """,
-        "events_cohorts": """
-WITH p AS (
-  SELECT user_id,
-         CAST(epoch_us(ts) // 604800000000 AS BIGINT) AS period
-  FROM events
-),
-f AS (SELECT user_id, min(period) AS cohort FROM p GROUP BY 1),
-cells AS (
-  SELECT DISTINCT p.user_id, f.cohort, p.period - f.cohort AS "offset"
-  FROM p JOIN f USING (user_id)
-)
-SELECT cohort, "offset", count(*)::BIGINT AS n_active
-FROM cells GROUP BY 1, 2
-""",
         "docs_melt": "WITH grid AS (SELECT lang, source, count(*)::BIGINT AS n "
         "FROM documents GROUP BY 1, 2), cats AS (SELECT unnest(["
         + ", ".join(f"'{s}'" for s in _PIVOT_SOURCES)
@@ -11313,16 +9461,6 @@ FROM cells GROUP BY 1, 2
         "WHERE source NOT IN ("
         + ", ".join(f"'{s}'" for s in _PIVOT_SOURCES)
         + ") GROUP BY 1) o ON o.lang = l.lang AND c.variable = '_other'",
-        "events_ntile": """
-SELECT event_id, user_id,
-       CAST(floor(value * 100 + 0.5) AS BIGINT) AS value_cents,
-       row_number() OVER w::BIGINT AS rank,
-       count(*) OVER (PARTITION BY user_id)::BIGINT AS n,
-       ntile(4) OVER w::BIGINT AS tile
-FROM events
-WINDOW w AS (PARTITION BY user_id
-             ORDER BY CAST(floor(value * 100 + 0.5) AS BIGINT), event_id)
-""",
         "docs_pivot": "SELECT lang, "
         + ", ".join(
             f"count(*) FILTER (WHERE source = '{s}')::BIGINT AS {s}"
@@ -11331,19 +9469,6 @@ WINDOW w AS (PARTITION BY user_id
         + ", count(*) FILTER (WHERE source NOT IN ("
         + ", ".join(f"'{s}'" for s in _PIVOT_SOURCES)
         + "))::BIGINT AS _other FROM documents GROUP BY lang",
-        # LOCF: error rows nulled, filled by the last valid value per user
-        "events_ffill": """
-WITH v AS (
-  SELECT event_id, user_id, ts,
-         CASE WHEN event_type = 'error' THEN NULL ELSE value END AS value
-  FROM events
-)
-SELECT event_id, user_id, ts, value,
-       last_value(value IGNORE NULLS)
-         OVER (PARTITION BY user_id ORDER BY ts, event_id
-               ROWS UNBOUNDED PRECEDING) AS filled
-FROM v
-""",
         # bloom semi-join: build bits from en doc_ids, keep probes whose
         # 4 bit slices are all lit (FPs deterministic, value-exact)
         "docs_bloom_join": """
@@ -11394,16 +9519,6 @@ rk AS (
   FROM sc
 )
 SELECT doc_id, shard::BIGINT AS shard FROM rk WHERE rn = 1
-""",
-        "events_transitions": """
-WITH s AS (
-  SELECT user_id, event_type,
-         lead(event_type) OVER (PARTITION BY user_id
-                                ORDER BY ts, event_id) AS nxt
-  FROM events
-)
-SELECT event_type AS from_type, nxt AS to_type, count(*)::BIGINT AS n
-FROM s WHERE nxt IS NOT NULL GROUP BY 1, 2
 """,
         "lang_moments": r"""
 WITH w AS (
@@ -11546,44 +9661,6 @@ SELECT coalesce(lang, '(all)') AS lang,
 FROM documents
 GROUP BY ROLLUP(lang, source)
 """,
-        # interval self-join: the sessions CTE (same gaps-and-islands as
-        # events_session) then the exact overlap predicate, canonical
-        # (key, start) orientation
-        "sessions_overlap": """
-WITH marks AS (
-  SELECT user_id, ts,
-         CASE WHEN lag(ts) OVER w IS NULL
-              OR epoch_us(ts) - epoch_us(lag(ts) OVER w) > 1800 * 1000000
-              THEN 1 ELSE 0 END AS new_s
-  FROM events
-  WINDOW w AS (PARTITION BY user_id ORDER BY ts)
-),
-sess AS (
-  SELECT user_id, ts,
-         sum(new_s) OVER (PARTITION BY user_id ORDER BY ts
-                          ROWS UNBOUNDED PRECEDING) AS sid
-  FROM marks
-),
-s AS (
-  SELECT user_id, min(ts) AS st, max(ts) AS en
-  FROM sess GROUP BY user_id, sid
-)
-SELECT x.user_id AS a_key, x.st AS a_start,
-       y.user_id AS b_key, y.st AS b_start,
-       (least(epoch_us(x.en), epoch_us(y.en))
-        - greatest(epoch_us(x.st), epoch_us(y.st)))::BIGINT AS overlap_us
-FROM s x JOIN s y
-  ON x.user_id < y.user_id AND x.st <= y.en AND y.st <= x.en
-""",
-        "events_rank": """
-SELECT event_id, user_id,
-       CAST(floor(value * 100 + 0.5) AS BIGINT) AS value_cents,
-       row_number() OVER (PARTITION BY user_id
-                          ORDER BY CAST(floor(value * 100 + 0.5) AS BIGINT),
-                                   event_id)::BIGINT AS rank,
-       count(*) OVER (PARTITION BY user_id)::BIGINT AS n
-FROM events
-""",
         "docs_intersect": """
 SELECT doc_id FROM documents WHERE lang = 'en'
 INTERSECT
@@ -11615,51 +9692,6 @@ s AS (
 SELECT vec_id, j, CAST(sum(term) AS BIGINT) AS proj
 FROM s GROUP BY 1, 2
 """,
-        # MAD screen: exact 'lower' medians (row at floor(0.5·(n−1)) of the
-        # sorted group) on the 1e-3 lattice; flag absdev > 3·mad, all int64
-        "events_mad": """
-WITH q AS (
-  SELECT event_id, user_id,
-         CAST(floor(value * 1000) AS BIGINT) AS v_q
-  FROM events
-),
-r AS (
-  SELECT user_id, v_q,
-         row_number() OVER (PARTITION BY user_id ORDER BY v_q) - 1 AS rn,
-         count(*) OVER (PARTITION BY user_id) AS n
-  FROM q
-),
-med AS (
-  SELECT user_id, v_q AS med FROM r
-  WHERE rn = CAST(floor(0.5 * (n - 1)) AS BIGINT)
-),
-a AS (
-  SELECT q.event_id, q.user_id, q.v_q, m.med,
-         abs(q.v_q - m.med)::BIGINT AS absdev
-  FROM q JOIN med m USING (user_id)
-),
-r2 AS (
-  SELECT user_id, absdev,
-         row_number() OVER (PARTITION BY user_id ORDER BY absdev) - 1 AS rn,
-         count(*) OVER (PARTITION BY user_id) AS n
-  FROM a
-),
-mad AS (
-  SELECT user_id, absdev AS mad FROM r2
-  WHERE rn = CAST(floor(0.5 * (n - 1)) AS BIGINT)
-)
-SELECT a.event_id, a.user_id, a.v_q, a.med, a.absdev, d.mad,
-       a.absdev > 3 * d.mad AS is_outlier
-FROM a JOIN mad d USING (user_id)
-""",
-        "events_rolling": """
-SELECT event_id, user_id, ts,
-       CAST(sum(CAST(floor(value * 100 + 0.5) AS BIGINT))
-              OVER (PARTITION BY user_id ORDER BY ts, event_id
-                    ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS BIGINT)
-         AS roll_sum
-FROM events
-""",
         "lang_top_tokens": r"""
 WITH tok AS (
   SELECT lang,
@@ -11686,49 +9718,6 @@ SELECT lang,
        count(*)::BIGINT AS n
 FROM documents
 GROUP BY 1, 2
-""",
-        # funnel: first signup, then first purchase at-or-after it within
-        # 24 h; LEFT JOIN + min yields NULL for unconverted users
-        "events_funnel": """
-WITH a AS (
-  SELECT user_id, min(ts) AS t_a FROM events
-  WHERE event_type = 'signup' GROUP BY 1
-),
-b AS (
-  SELECT a.user_id, a.t_a, min(e.ts) AS t_b
-  FROM a LEFT JOIN events e
-    ON e.user_id = a.user_id AND e.event_type = 'purchase'
-   AND e.ts >= a.t_a
-   AND epoch_us(e.ts) - epoch_us(a.t_a) <= 86400::BIGINT * 1000000
-  GROUP BY 1, 2
-)
-SELECT user_id, t_a, t_b, t_b IS NOT NULL AS converted,
-       CASE WHEN t_b IS NOT NULL
-            THEN epoch_us(t_b) - epoch_us(t_a) END::BIGINT AS delay_us
-FROM b
-""",
-        # Exact-integer per-key z-test: quantize to floor(value*1000)
-        # (both sides use IEEE-double multiply, so the lattice matches
-        # bit-for-bit), then (n·x−s)² > z²·(n·ssq−s²) with every division
-        # cleared — no float comparison anywhere.
-        "events_zscore": """
-WITH q AS (
-  SELECT event_id, user_id,
-         CAST(floor(value * 1000) AS BIGINT) AS v_q
-  FROM events
-),
-s AS (
-  SELECT user_id, count(*)::BIGINT AS n,
-         CAST(sum(v_q) AS BIGINT) AS s,
-         CAST(sum(v_q * v_q) AS BIGINT) AS ssq
-  FROM q GROUP BY user_id
-)
-SELECT q.event_id, q.user_id, q.v_q,
-       CAST((s.n * q.v_q - s.s) * (s.n * q.v_q - s.s) AS BIGINT) AS dev2,
-       CAST(9 * (s.n * s.ssq - s.s * s.s) AS BIGINT) AS bound,
-       (s.n * q.v_q - s.s) * (s.n * q.v_q - s.s)
-         > 9 * (s.n * s.ssq - s.s * s.s) AS is_outlier
-FROM q JOIN s USING (user_id)
 """,
         "docs_cdc": _cdc_oracle_sql(),
         # sequential email → ip → phone redaction with identical regexes

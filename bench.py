@@ -8,10 +8,11 @@ num_cpus=$RAY_GRAFT_CPUS (default 32) and print ONE JSON line:
      "queries": {...}, "sf": ..., "num_cpus": N,
      "docs_per_sec": ..., "triples_per_sec": ...}
 
---scaling: run the headline pipeline twice in fresh subprocesses at
-num_cpus=8 and num_cpus=32 on the same input and report both plus
-efficiency = (t8/t32)/4 (the sandbox proxy for the N vs 4N cluster
-criterion; see BASELINE.md).
+--scaling: run the headline pipeline in fresh subprocesses at a low and
+a high cpu level on the same input (default: a quarter of the usable
+cpus and all of them; GRAFT_SCALE_LO/HI override) and report both plus
+efficiency = (t_lo/t_hi)/(hi/lo) (the sandbox proxy for the N vs 4N
+cluster criterion; see BASELINE.md).
 """
 
 from __future__ import annotations
@@ -201,7 +202,6 @@ def _extras(sf_dir: str) -> dict[str, float]:
     try:
         from graphiti_ray.stages.dedup import ngram_jaccard_ppjoin
         from graphiti_ray.stages.similarity import hard_negatives, ood_margin
-        from graphiti_ray.stages.windows import watermark_late_events
         import ray.data as rd
 
         docs7 = rd.read_parquet(
@@ -214,8 +214,6 @@ def _extras(sf_dir: str) -> dict[str, float]:
         )
         timed("hard_negatives", lambda: hard_negatives(emb4).count())
         timed("ood_margin", lambda: ood_margin(emb4).count())
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "ts"])
-        timed("watermark", lambda: watermark_late_events(ev).count())
     except ImportError:
         pass
 
@@ -326,7 +324,8 @@ def run_scaling() -> dict:
         # inherited by every forked Ray process, so the whole level — fair
         # cluster-of-N-cores proxy — sees exactly ncpu cores.
         if shutil.which("taskset"):
-            cmd = ["taskset", "-c", f"0-{ncpu - 1}"] + cmd
+            cpus = ",".join(str(c) for c in sorted(os.sched_getaffinity(0))[:ncpu])
+            cmd = ["taskset", "-c", cpus] + cmd
         out = subprocess.run(
             cmd,
             env=env,
@@ -343,12 +342,12 @@ def run_scaling() -> dict:
     # sf0.1 corpus = 12.8M docs — possible since the pg2 warc_ts wrap
     # removed the old datetime overflow at replicate≈640.
     os.environ.setdefault("GRAFT_BENCH_REPLICATE", "2560")
-    # N vs 4N parallelism levels. Default 4 vs 16 rather than 8 vs 32: this
-    # sandbox advertises 32 vCPUs but measured wall time INVERTS between 16
-    # and 32 (hypervisor overcommit), so 8→32 would measure the hypervisor,
-    # not the engine. Override with GRAFT_SCALE_LO/HI.
-    lo = int(os.environ.get("GRAFT_SCALE_LO", "4"))
-    hi = int(os.environ.get("GRAFT_SCALE_HI", "16"))
+    # N vs 4N parallelism levels: by default hi is every cpu this process
+    # may run on and lo a quarter of it (at least 1), so the run fits the
+    # box it lands on. Override with GRAFT_SCALE_LO/HI.
+    usable = len(os.sched_getaffinity(0))
+    hi = int(os.environ.get("GRAFT_SCALE_HI", str(usable)))
+    lo = int(os.environ.get("GRAFT_SCALE_LO", str(max(1, hi // 4))))
     # co-tenant CPU steal on this hypervisor swings wall time up to 2×
     # run-to-run (BASELINE.md noise note); best-of-N with min wall per
     # level is the standard least-interference estimator

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import html as _html
 import re
-import zlib
 
 import numpy as np
 
@@ -143,14 +142,6 @@ def l2_normalize(vecs: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(vecs, axis=-1, keepdims=True)
     norms[norms == 0] = 1.0
     return vecs / norms
-
-
-# --- stable hashing for minhash / hashing-trick embeddings -----------------
-
-
-def stable_hash32(s: str, seed: int = 0) -> int:
-    """Process-stable 32-bit hash (NEVER Python's ``hash``: randomized)."""
-    return zlib.crc32(s.encode("utf-8"), seed) & 0xFFFFFFFF
 
 
 def first_sentence(text: str, max_chars: int = 250) -> str:

@@ -1023,17 +1023,14 @@ def simhash_near_dup(
     return banded_hamming_pairs(sigs, max_hamming)
 
 
-def banded_hamming_pairs(
-    sigs: rd.Dataset, max_hamming: int, op_name: str = "simhash_lsh"
-) -> rd.Dataset:
-    """Generic 64-bit-signature near-dup: candidate pairs by 16-bit band
+def banded_hamming_pairs(sigs: rd.Dataset, max_hamming: int) -> rd.Dataset:
+    """64-bit-signature near-dup: candidate pairs by 16-bit band
     collision, Hamming-verified, first-colliding-band distinct emission.
 
     ``sigs`` columns: (doc_id, simhash int64 = signed view of the uint64
-    signature, band0..band3 int64). Shared by text SimHash and image
-    perceptual hashing (stages/multimodal.py::image_phash_near_dup) —
-    the banding, hot-bucket prefilter, cap + truncation telemetry, and
-    the sorted_run_map pair kernel are signature-agnostic."""
+    signature, band0..band3 int64). The banding, hot-bucket prefilter,
+    cap + truncation telemetry, and the sorted_run_map pair kernel are
+    signature-agnostic."""
     import ray
 
     sigs = sigs.materialize()
@@ -1058,7 +1055,7 @@ def banded_hamming_pairs(
     rows = sigs.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
     counts = _colliding_counts(rows, ["band", "band_val"], sigs.count() * 4)
     _record_truncation(
-        op_name,
+        "simhash_lsh",
         counts.set_index(["band", "band_val"])["c"]
         if len(counts)
         else pd.Series(dtype="int64"),

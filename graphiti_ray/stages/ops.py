@@ -550,157 +550,6 @@ def sorted_run_map(
     return rd.from_arrow_refs(out_refs)
 
 
-@ray.remote
-def _asof_block_tail(block, by: list[str], side_col: str):
-    """Last RIGHT-side row's (partition, payload dict) for the carry
-    protocol; None if the block has no right rows."""
-    block = _as_arrow(block)
-    if block.num_rows == 0:
-        return None
-    import numpy as np
-
-    side = block.column(side_col).to_numpy(zero_copy_only=False)
-    idx = np.nonzero(side == 0)[0]
-    if len(idx) == 0:
-        return None
-    i = int(idx[-1])
-    part = tuple(block.column(c)[i].as_py() for c in by)
-    row = {c: block.column(c)[i].as_py() for c in block.column_names}
-    return part, row
-
-
-@ray.remote
-def _asof_fill_block(
-    block,
-    by: list[str],
-    side_col: str,
-    value_cols: list[str],
-    left_cols: list[str],
-    out_schema: pa.Schema,
-    carry,
-) -> pa.Table:
-    """Forward-fill right-side values onto left rows within one sorted
-    block, seeded at the boundary with the previous blocks' carried last
-    right row (only the block's FIRST partition can continue one).
-    ``out_schema`` is passed explicitly — empty sorted blocks are
-    schema-less."""
-    import pandas as pd
-
-    block = _as_arrow(block)
-    # nullable Int dtypes for integer columns: the left rows are null in the
-    # right value columns, and a plain-int64→float64 promotion would silently
-    # lose precision for right-side payloads above 2^53
-    _nullable_ints = {
-        pa.int64(): pd.Int64Dtype(),
-        pa.int32(): pd.Int32Dtype(),
-        pa.int16(): pd.Int16Dtype(),
-        pa.int8(): pd.Int8Dtype(),
-        pa.uint64(): pd.UInt64Dtype(),
-        pa.uint32(): pd.UInt32Dtype(),
-    }
-    df = block.to_pandas(types_mapper=_nullable_ints.get)
-    if df.empty:
-        return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-    if carry is not None:
-        part, row = carry
-        first_part = tuple(df.iloc[0][c] for c in by)
-        if part == first_part:
-            # only the columns the fill reads — whole-row seeds carry all-NA
-            # left columns, which pandas concat warns about
-            seed = {c: row.get(c) for c in by + value_cols}
-            seed[side_col] = 0
-            seed_df = pd.DataFrame([seed]).astype(
-                {c: df[c].dtype for c in seed if c in df.columns}
-            )
-            df = pd.concat([seed_df, df], ignore_index=True)
-    vals = df[value_cols].where(df[side_col].eq(0))
-    filled = vals.groupby([df[c] for c in by]).ffill()
-    out = df.loc[df[side_col].eq(1), left_cols].reset_index(drop=True)
-    out[value_cols] = filled.loc[df[side_col].eq(1)].reset_index(drop=True)
-    tbl = pa.Table.from_pandas(out, preserve_index=False)
-    # right value columns must keep their arrow types even when all-null
-    return tbl.cast(out_schema)
-
-
-def sorted_asof_join(
-    left: rd.Dataset,
-    right: rd.Dataset,
-    by: list[str],
-    ts_col: str,
-    value_cols: list[str],
-) -> rd.Dataset:
-    """Distributed backward as-of join: each left row picks the latest
-    right row with ``right.ts <= left.ts`` within its ``by`` partition
-    (DuckDB ``ASOF JOIN`` semantics, ties inclusive). Ray Data has no
-    native as-of join; this is the sorted-merge formulation: tag sides,
-    ONE global range sort on (by..., ts, side) — right-before-left at
-    equal ts — then a per-block forward fill with a single carried row
-    exchanged between neighbouring blocks (the ``sorted_lag_list`` carry
-    protocol, k=1). A hub key spanning many blocks costs nothing extra;
-    no per-key grouping, no all-to-all beyond the one sort.
-
-    ``left``/``right`` must share ``by`` + ``ts_col`` names;
-    ``value_cols`` are the right-side payload columns appended to left
-    rows (null when no prior right row exists)."""
-    left_schema = left.schema(fetch_if_missing=True)
-    right_schema = right.schema(fetch_if_missing=True)
-    if left_schema is None:
-        return left.limit(0)
-    left_cols = list(left_schema.names)
-    side = "_asof_side"
-    left_types = {f.name: f.type for f in left_schema.base_schema}
-    # an empty right side is legitimate: every left row gets null values
-    right_types = (
-        {f.name: f.type for f in right_schema.base_schema}
-        if right_schema is not None
-        else {c: pa.null() for c in value_cols}
-    )
-    all_cols = left_cols + value_cols + [side]
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        for c in value_cols:
-            t = t.append_column(c, pa.nulls(t.num_rows, right_types[c]))
-        t = t.append_column(side, pa.array([1] * t.num_rows, pa.int8()))
-        return t.select(all_cols)
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        t = t.select(by + [ts_col] + value_cols)
-        for c in left_cols:
-            if c not in by and c != ts_col:
-                t = t.append_column(c, pa.nulls(t.num_rows, left_types[c]))
-        t = t.append_column(side, pa.array([0] * t.num_rows, pa.int8()))
-        return t.select(all_cols)
-
-    tagged = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")
-    )
-    tagged = tagged.map_batches(lambda t: t, batch_format="pyarrow")
-    mat = _sort_coalesced(tagged, by + [ts_col, side])
-    refs = []
-    for bundle in mat.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
-    if not refs:
-        return mat.limit(0)
-    out_schema = pa.schema(
-        [pa.field(c, left_types[c]) for c in left_cols]
-        + [pa.field(c, right_types[c]) for c in value_cols]
-    )
-    tails = ray.get([_asof_block_tail.remote(r, by, side) for r in refs])
-    out_refs = []
-    carry = None
-    for r, tail in zip(refs, tails):
-        out_refs.append(
-            _asof_fill_block.remote(
-                r, by, side, value_cols, left_cols, out_schema, carry
-            )
-        )
-        if tail is not None:
-            carry = tail
-        # else: keep the previous carry — it still describes the last right
-        # row seen so far; _asof_fill_block ignores it if partitions differ
-    return rd.from_arrow_refs(out_refs)
-
-
 def top_k_per_group(
     ds: rd.Dataset,
     keys: list[str],
@@ -739,60 +588,6 @@ def top_k_per_group(
         # only the run's first k rows are kept, and carry_cap ≥ k
         on_carry_overflow="truncate",
     )
-
-
-def group_quantiles(
-    ds: rd.Dataset,
-    keys: list[str],
-    value_col: str,
-    qs: list[float],
-) -> rd.Dataset:
-    """Exact per-group quantiles, 'lower' interpolation pinned explicitly:
-    the q-quantile of a group of n sorted values is the value at index
-    ``floor(q * (n - 1))`` — the same formula the SQL oracle twin uses
-    (row_number over the sorted group), so results hash identically.
-    Runs on ``sorted_run_map``: one range sort by (keys, value), each
-    group's complete sorted run hits one vectorized kernel. Output: one
-    row per (group, q): (keys..., q, quantile_value) — ``quantile_value``
-    keeps the INPUT column's arrow type (int in → int out, float in →
-    float out).
-
-    Partitioning assumption: a single group must fit sorted_run_map's
-    boundary-carry budget (carry_cap rows beyond one block). For
-    mega-groups, use the rank formulation instead (sorted_prefix_sum of
-    per-row counts → select rank == floor(q*(n-1)))."""
-    import numpy as np
-
-    def kernel(tbl: pa.Table) -> pa.Table:
-        n = tbl.num_rows
-        val_type = tbl.schema.field(value_col).type
-        if n == 0:
-            return pa.table(
-                {
-                    **{c: pa.array([], tbl.schema.field(c).type) for c in keys},
-                    "q": pa.array([], pa.float64()),
-                    "quantile_value": pa.array([], val_type),
-                }
-            )
-        vals = tbl.column(value_col).to_numpy(zero_copy_only=False)
-        starts = _table_run_starts(tbl, keys)
-        firsts = starts[:-1]
-        sizes = np.diff(starts)
-        n_runs = len(firsts)
-        # vectorized: every (run, q) index in one shot
-        q_arr = np.asarray(qs, dtype=np.float64)
-        idx = (
-            firsts[:, None] + np.floor(q_arr[None, :] * (sizes[:, None] - 1))
-        ).astype(np.int64)
-        take_keys = pa.array(np.repeat(firsts, len(qs)), pa.int64())
-        out = tbl.select(keys).take(take_keys)
-        return out.append_column(
-            "q", pa.array(np.tile(q_arr, n_runs), pa.float64())
-        ).append_column(
-            "quantile_value", pa.array(vals[idx.reshape(-1)], val_type)
-        )
-
-    return sorted_run_map(ds, keys, kernel, order_cols=[value_col])
 
 
 @ray.remote

@@ -647,25 +647,30 @@ def allen_census(
             a = t.column(col).cast(pa.timestamp("us")).cast(pa.int64())
             if fill is not None:
                 a = pc.fill_null(a, fill)
-            return a.to_numpy(zero_copy_only=False).astype(np.int64)
+            ok = pc.is_valid(a).to_numpy(zero_copy_only=False)
+            vals = pc.fill_null(a, 0).to_numpy(zero_copy_only=False)
+            return vals.astype(np.int64), ok
 
-        s1, s2 = us("s1"), us("s2")
-        e1 = us("e1", ALLEN_SENTINEL_US)
-        e2 = us("e2", ALLEN_SENTINEL_US)
+        (s1, k1), (s2, k2) = us("s1"), us("s2")
+        e1, _ = us("e1", ALLEN_SENTINEL_US)
+        e2, _ = us("e2", ALLEN_SENTINEL_US)
+        # a null start makes every comparison on it NULL in the SQL twin,
+        # so a rule fires only when the starts it reads are present
+        k = k1 & k2
         conds = [
-            (s1 == s2) & (e1 == e2),
-            e1 < s2,
-            e2 < s1,
-            e1 == s2,
-            e2 == s1,
-            (s1 < s2) & (s2 < e1) & (e1 < e2),
-            (s2 < s1) & (s1 < e2) & (e2 < e1),
-            (s1 == s2) & (e1 < e2),
-            (s1 == s2) & (e2 < e1),
-            (s2 < s1) & (e1 < e2),
-            (s1 < s2) & (e2 < e1),
-            (e1 == e2) & (s2 < s1),
-            (e1 == e2) & (s1 < s2),
+            k & (s1 == s2) & (e1 == e2),
+            k2 & (e1 < s2),
+            k1 & (e2 < s1),
+            k2 & (e1 == s2),
+            k1 & (e2 == s1),
+            k & (s1 < s2) & (s2 < e1) & (e1 < e2),
+            k & (s2 < s1) & (s1 < e2) & (e2 < e1),
+            k & (s1 == s2) & (e1 < e2),
+            k & (s1 == s2) & (e2 < e1),
+            k & (s2 < s1) & (e1 < e2),
+            k & (s1 < s2) & (e2 < e1),
+            k & (e1 == e2) & (s2 < s1),
+            k & (e1 == e2) & (s1 < s2),
         ]
         names = [
             "equals", "before", "before_i", "meets", "meets_i",

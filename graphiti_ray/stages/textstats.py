@@ -916,6 +916,180 @@ def pmi_collocations(
     return top[["rank", "w1", "w2", "n_pair", "pmi"]]
 
 
+def fixed_histogram(
+    ds: rd.Dataset,
+    value_col: str,
+    lo: int,
+    hi: int,
+    n_bins: int,
+    by: str | None = None,
+) -> rd.Dataset:
+    """Equi-width histogram with EXACT integer binning — the profiling
+    staple. bin = (v − lo)·n_bins // (hi − lo) for integer v, clamped to
+    −1 (underflow) / n_bins (overflow), so the SQL twin is pure integer
+    division with no float boundary cases. Per-batch ``np.unique`` count
+    partials → one keyed sum over ≤ |groups|·(n_bins+2) rows — the
+    combiner-then-tiny-reduce shape, never a row-per-value shuffle.
+
+    Output: (bin, n) or (by, bin, n)."""
+    import numpy as np
+
+    from ray.data.aggregate import Sum
+
+    width = hi - lo
+    assert width > 0 and n_bins > 0
+
+    def partial(batch: pa.Table) -> pa.Table:
+        v = batch.column(value_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        b = (v - lo) * n_bins // width
+        b = np.where(v < lo, -1, np.where(v >= hi, n_bins, b)).astype(np.int64)
+        if by is None:
+            ub, cnt = np.unique(b, return_counts=True)
+            return pa.table(
+                {"bin": pa.array(ub, pa.int64()), "p_n": pa.array(cnt, pa.int64())}
+            )
+        g = np.asarray(batch.column(by).to_pylist(), dtype=object)
+        ug, gidx = np.unique(g, return_inverse=True)
+        key = gidx * (n_bins + 2) + (b + 1)
+        uk, cnt = np.unique(key, return_counts=True)
+        return pa.table(
+            {
+                by: pa.array(ug[uk // (n_bins + 2)].tolist(), pa.string()),
+                "bin": pa.array(uk % (n_bins + 2) - 1, pa.int64()),
+                "p_n": pa.array(cnt, pa.int64()),
+            }
+        )
+
+    keys = ["bin"] if by is None else [by, "bin"]
+    return (
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby(keys if len(keys) > 1 else keys[0])
+        .aggregate(Sum("p_n", alias_name="n"))
+    )
+
+
+def basket_pairs(
+    events: rd.Dataset,
+    min_support: int = 2,
+    key_col: str = "user_id",
+    type_col: str = "event_type",
+) -> rd.Dataset:
+    """Level-2 frequent itemset mining (the Apriori pair census /
+    'co-visit' statistic of recommender pipelines): each key's DISTINCT
+    item set is a basket; a pair (a < b) is supported by every basket
+    containing both. Emits the exact support counts a lift/confidence
+    computation needs — all integers, floats stay derived.
+
+    Scale shape: one distinct pass over (key, item) (sort + adjacent
+    dedup), then per-key pair partials pre-counted per block
+    (``sorted_run_map`` — baskets are item-vocabulary-bounded, so the
+    pair fan-out per key is bounded) → one |items|²-keyed sum; per-item
+    counts ride the same distinct pass and re-attach from a broadcast
+    vocabulary-sized map.
+
+    Output: (type_a, type_b, n_ab, n_a, n_b, n_keys) for n_ab ≥
+    min_support.
+    """
+    import pyarrow.compute as pc
+    import ray
+    from ray.data.aggregate import Count, Sum
+
+    from graphiti_ray.stages.link import _cached_lut
+    from graphiti_ray.stages.ops import distinct_by_key, sorted_run_map
+
+    def keyed(t: pa.Table) -> pa.Table:
+        k = pc.binary_join_element_wise(
+            pc.cast(t.column(key_col), pa.string()),
+            pc.cast(t.column(type_col), pa.string()),
+            "\x00",
+        )
+        return pa.table(
+            {
+                "k": k,
+                key_col: t.column(key_col),
+                type_col: t.column(type_col),
+            }
+        )
+
+    ut = distinct_by_key(
+        events.select_columns([key_col, type_col]).map_batches(
+            keyed, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "k",
+    ).materialize()
+
+    item_counts = {
+        r[type_col]: int(r["n"])
+        for r in ut.groupby(type_col).aggregate(Count(alias_name="n")).take_all()
+    }
+    n_keys = int(
+        ut.groupby(key_col)
+        .aggregate(Count(alias_name="c"))
+        .count()
+    )
+    cref = ray.put((item_counts, n_keys))
+
+    def pair_kernel(tbl: pa.Table) -> pa.Table:
+        from graphiti_ray.stages.ops import _table_run_starts
+
+        empty = pa.table(
+            {
+                "type_a": pa.array([], pa.string()),
+                "type_b": pa.array([], pa.string()),
+                "n": pa.array([], pa.int64()),
+            }
+        )
+        if tbl.num_rows == 0:
+            return empty
+        starts = _table_run_starts(tbl, [key_col])
+        types = tbl.column(type_col).to_pylist()
+        from collections import Counter
+
+        cnt: Counter = Counter()
+        for s, e in zip(starts[:-1], starts[1:]):
+            basket = sorted(types[s:e])
+            for i in range(len(basket)):
+                for j in range(i + 1, len(basket)):
+                    cnt[(basket[i], basket[j])] += 1
+        if not cnt:
+            return empty
+        return pa.table(
+            {
+                "type_a": pa.array([k[0] for k in cnt], pa.string()),
+                "type_b": pa.array([k[1] for k in cnt], pa.string()),
+                "n": pa.array(list(cnt.values()), pa.int64()),
+            }
+        )
+
+    pairs = (
+        sorted_run_map(
+            ut, key_cols=[key_col], order_cols=[type_col], block_fn=pair_kernel
+        )
+        .groupby(["type_a", "type_b"])
+        .aggregate(Sum("n", alias_name="n_ab"))
+    )
+
+    def finish(t: pa.Table, _ref=cref) -> pa.Table:
+        ic, nk = _cached_lut(_ref)
+        ta = t.column("type_a").to_pylist()
+        tb = t.column("type_b").to_pylist()
+        nab = pc.cast(t.column("n_ab"), pa.int64())
+        out = pa.table(
+            {
+                "type_a": t.column("type_a"),
+                "type_b": t.column("type_b"),
+                "n_ab": nab,
+                "n_a": pa.array([ic[a] for a in ta], pa.int64()),
+                "n_b": pa.array([ic[b] for b in tb], pa.int64()),
+                "n_keys": pa.array([nk] * len(ta), pa.int64()),
+            }
+        )
+        return out.filter(pc.greater_equal(out.column("n_ab"), min_support))
+
+    return pairs.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+
+
+
 def top_tokens_by_group(
     docs: rd.Dataset,
     k: int = 5,

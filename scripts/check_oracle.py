@@ -20,9 +20,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 
-TABLES = (
-    "region nation customer supplier part orders lineitem events documents embeddings"
-).split()
+TABLES = ("documents", "embeddings")
 
 
 def to_pandas(res) -> pd.DataFrame:

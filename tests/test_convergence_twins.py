@@ -1,4 +1,5 @@
-"""Convergence-twin equivalences, moved out of the oracle registry
+"""Registry checks. Every query has exactly one oracle twin, and the
+convergence-twin equivalences, moved out of the oracle registry
 (round-5 verdict task 8): the incremental-split and file-queue ingest
 paths must produce the SAME edges table as the batch build. The batch
 twin (``kg_edges``) stays SQL-pinned in the driver registry; these
@@ -32,6 +33,15 @@ def _frame(ds) -> pd.DataFrame:
 
 
 SF = "/root/testdata/sf0.001"
+
+
+def test_every_query_has_an_oracle_and_every_oracle_a_query(entry):
+    """The oracle gate loops over queries() only: an oracle left behind
+    by a deletion is never run, and a query without one is counted as
+    neither OK nor FAIL. Both sets must be the same."""
+    qs, oracles = set(entry.queries()), set(entry.oracle_sql())
+    assert sorted(qs - oracles) == []  # queries without an oracle
+    assert sorted(oracles - qs) == []  # oracles without a query
 
 
 def test_incremental_split_converges_to_batch(ray_session, entry):

@@ -93,41 +93,6 @@ def test_source_epochs_lattice_and_budget(ray_session):
     assert 1_000_000 - 2 < out.weight_ppm.sum() <= 1_000_000
 
 
-def test_watermark_late_events_hand_case(ray_session):
-    from datetime import datetime
-
-    from graphiti_ray.stages.windows import watermark_late_events
-
-    T0 = datetime(2024, 1, 1)
-
-    def ts(minutes):
-        from datetime import timedelta
-
-        return T0 + timedelta(minutes=minutes)
-
-    # arrival order 1..5; event 3 arrives 2h behind the running max → late
-    ev = rd.from_items(
-        [
-            {"event_id": 1, "ts": ts(0)},
-            {"event_id": 2, "ts": ts(180)},
-            {"event_id": 3, "ts": ts(30)},   # wm = 180m - 60m = 120m > 30m → late
-            {"event_id": 4, "ts": ts(130)},  # wm = 120m ≤ 130m → on time
-            {"event_id": 5, "ts": ts(200)},
-        ]
-    )
-    out = (
-        watermark_late_events(ev, delay_s=3600)
-        .to_pandas()
-        .set_index("event_id")
-        .sort_index()
-    )
-    assert out.loc[1].isna()["watermark"] and out.loc[1, "late"] == 0
-    assert out.loc[2, "watermark"] == ts(-60) and out.loc[2, "late"] == 0
-    assert out.loc[3, "watermark"] == ts(120) and out.loc[3, "late"] == 1
-    assert out.loc[4, "watermark"] == ts(120) and out.loc[4, "late"] == 0
-    assert out.loc[5, "late"] == 0
-
-
 def test_ppjoin_matches_bottomk_blocking(ray_session):
     """PPJoin prefix filtering and the bottom-k heuristic blocking must
     produce the IDENTICAL exact-Jaccard pair set."""
@@ -199,38 +164,6 @@ def test_ood_margin_flags_mislabels(ray_session):
     assert (out.drop(99).margin > 0).mean() > 0.9  # clean points: own wins
     assert out.loc[99, "margin"] < 0  # the mislabel is flagged
     assert out.loc[99, "best_other_cos"] > out.loc[99, "own_cos"]
-
-
-def test_training_shards_partition_and_determinism(ray_session):
-    from graphiti_ray.pipelines.training import epoch_stream, training_shards
-
-    docs = rd.from_items([{"doc_id": i, "x": i * i} for i in range(101)])
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    def drain(it):
-        out = []
-        for b in it.iter_batches(batch_format="pyarrow"):
-            out.extend(b.column("doc_id").to_pylist())
-        return out
-
-    def drain_all(iters):
-        # streaming_split consumers share ONE execution — they must be
-        # drained concurrently, not sequentially
-        with ThreadPoolExecutor(len(iters)) as pool:
-            return [f.result() for f in [pool.submit(drain, i) for i in iters]]
-
-    ra, rb = drain_all(training_shards(docs, 2))
-    assert len(ra) == len(rb) == 50  # equal split drops the remainder
-    assert not (set(ra) & set(rb))   # disjoint
-    assert set(ra) | set(rb) <= set(range(101))
-
-    # same epoch + seed → identical global order; next epoch differs
-    e0 = drain_all(epoch_stream(docs, 2, epoch=0))
-    e0_again = drain_all(epoch_stream(docs, 2, epoch=0))
-    assert e0 == e0_again
-    e1 = drain_all(epoch_stream(docs, 2, epoch=1))
-    assert e1 != e0
 
 
 def test_corr_census_exact_moments(ray_session):

@@ -288,60 +288,6 @@ asof_strategy = st.tuples(
 )
 
 
-@given(asof_strategy, st.integers(1, 5))
-@settings(max_examples=15, deadline=None)
-def test_sorted_asof_join_matches_pandas(ray_session, data, nblocks):
-    import pyarrow as pa
-
-    from graphiti_ray.stages.ops import sorted_asof_join
-
-    left_rows, right_rows = data
-    left = pd.DataFrame(left_rows, columns=["k", "ts"])
-    left["lid"] = range(len(left))
-    right = pd.DataFrame(right_rows, columns=["k", "ts", "val"]).astype(
-        {"ts": "int64", "val": "int64"}
-    )
-    lds = rd.from_arrow(
-        pa.table(
-            {
-                "k": pa.array(left["k"]),
-                "ts": pa.array(left["ts"], pa.int64()),
-                "lid": pa.array(left["lid"], pa.int64()),
-            }
-        )
-    ).repartition(nblocks)
-    rds = rd.from_arrow(
-        pa.table(
-            {
-                "k": pa.array(right["k"]),
-                "ts": pa.array(right["ts"], pa.int64()),
-                "val": pa.array(right["val"], pa.int64()),
-            }
-        )
-    ).repartition(max(1, nblocks - 1))
-    out = (
-        sorted_asof_join(lds, rds, by=["k"], ts_col="ts", value_cols=["val"])
-        .to_pandas()
-        .sort_values("lid")
-        .reset_index(drop=True)
-    )
-    want = pd.merge_asof(
-        left.sort_values("ts", kind="mergesort"),
-        right.sort_values("ts", kind="mergesort"),
-        on="ts",
-        by="k",
-        direction="backward",
-        allow_exact_matches=True,
-    ).sort_values("lid").reset_index(drop=True)
-    assert len(out) == len(want)
-    for got, exp in zip(out.itertuples(index=False), want.itertuples(index=False)):
-        assert got.lid == exp.lid and got.k == exp.k and got.ts == exp.ts
-        if pd.isna(exp.val):
-            assert pd.isna(got.val), (exp.k, exp.ts)
-        else:
-            assert got.val == exp.val, (exp.k, exp.ts)
-
-
 @given(
     st.lists(
         st.tuples(
@@ -423,37 +369,6 @@ def test_top_k_per_group_matches_pandas(ray_session, rows, nblocks, k):
     assert out[["g", "v", "rid", "rank"]].values.tolist() == ref[
         ["g", "v", "rid", "rank"]
     ].values.tolist()
-
-
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(["a", "b"]), st.integers(-50, 50)),
-        min_size=1,
-        max_size=40,
-    ),
-    st.integers(1, 5),
-)
-@settings(max_examples=10, deadline=None)
-def test_group_quantiles_matches_reference(ray_session, rows, nblocks):
-    import math
-
-    import pyarrow as pa
-
-    from graphiti_ray.stages.ops import group_quantiles
-
-    qs = [0.0, 0.5, 0.9, 1.0]
-    df = pd.DataFrame(rows, columns=["g", "v"])
-    ds = rd.from_arrow(
-        pa.table({"g": pa.array(df["g"]), "v": pa.array(df["v"], pa.int64())})
-    ).repartition(nblocks)
-    out = group_quantiles(ds, keys=["g"], value_col="v", qs=qs).to_pandas()
-    got = {(r.g, r.q): r.quantile_value for r in out.itertuples(index=False)}
-    want = {}
-    for g, grp in df.groupby("g"):
-        vals = sorted(grp["v"])
-        for q in qs:
-            want[(g, q)] = vals[int(math.floor(q * (len(vals) - 1)))]
-    assert got == want
 
 
 def test_sorted_run_map_carry_overflow_raises_or_truncates(

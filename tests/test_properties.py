@@ -190,64 +190,6 @@ def test_winnow_matches_naive_reference(t):
     assert winnow_fingerprint(t) == expected
 
 
-@given(
-    st.lists(
-        st.integers(min_value=-(2**15), max_value=2**15 - 1),
-        min_size=1,
-        max_size=64,
-    ),
-    st.sampled_from([1, 2]),
-)
-def test_wav_roundtrip_any_samples(samples, channels):
-    """encode-with-stdlib → decode_wav is lossless for 16-bit PCM."""
-    import io
-    import wave
-
-    import numpy as np
-
-    from graphiti_ray.stages.multimodal import decode_wav
-
-    x = np.asarray(samples, dtype=np.int16)
-    if channels == 2:
-        x = np.repeat(x, 2)
-    buf = io.BytesIO()
-    with wave.open(buf, "wb") as w:
-        w.setnchannels(channels)
-        w.setsampwidth(2)
-        w.setframerate(16000)
-        w.writeframes(x.tobytes())
-    decoded, sr = decode_wav(buf.getvalue())
-    assert sr == 16000
-    assert decoded.shape == (len(x) // channels, channels)
-    assert np.array_equal(decoded.ravel(), x.astype(np.float32))
-
-
-@given(
-    st.integers(min_value=1, max_value=12),
-    st.integers(min_value=1, max_value=12),
-    st.integers(min_value=1, max_value=12),
-    st.integers(min_value=1, max_value=12),
-    st.integers(min_value=0, max_value=10**9),
-)
-def test_ppm_roundtrip_and_resize_shapes(w, h, w2, h2, seed):
-    """encode→decode is identity; resize hits the exact target shape and
-    resize to the SAME shape is the identity map."""
-    import numpy as np
-
-    from graphiti_ray.stages.multimodal import (
-        decode_ppm,
-        encode_ppm,
-        resize_nearest,
-    )
-
-    rng = np.random.RandomState(seed % (2**32))
-    arr = rng.randint(0, 256, size=(h, w, 3), dtype=np.uint8)
-    assert np.array_equal(decode_ppm(encode_ppm(arr)), arr)
-    out = resize_nearest(arr, w2, h2)
-    assert out.shape == (h2, w2, 3)
-    assert np.array_equal(resize_nearest(arr, w, h), arr)
-
-
 @given(st.text(alphabet="abc def\n", max_size=1600))
 @settings(max_examples=30, deadline=None)
 def test_chunk_grid_reconstructs_document(t):

@@ -323,6 +323,60 @@ def test_allen_census_random_vs_bruteforce(ray_session):
     assert got == dict(want)
 
 
+def test_allen_census_null_start_matches_sql_case(ray_session):
+    """A null valid_at makes the SQL CASE twin's comparisons on it NULL:
+    (s1 null, e1 = e2 = sentinel) falls to 'other', while (s1 null,
+    e1 < s2) is still 'before'. Runs the oracle's own CASE chain in DuckDB
+    over the same pairs and compares it with allen_census."""
+    import os
+    import sys
+    from datetime import datetime
+
+    import duckdb
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data as rd_
+
+    from graphiti_ray.stages.temporal import allen_census
+
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    import __ray_entry__ as e
+
+    sentinel = datetime(9999, 12, 31)
+    rows = [  # (subj, uuid, valid_at, invalid_at); u1 < u2 per key
+        ("s", "u1", None, None),
+        ("s", "u2", datetime(2024, 1, 1), None),
+        ("t", "u3", None, datetime(2020, 1, 1)),
+        ("t", "u4", datetime(2021, 1, 1), None),
+    ]
+    subj, uuid, valid_at, invalid_at = zip(*rows)
+    edges = rd_.from_arrow(  # typed columns: an all-null block is not null-typed
+        pa.table(
+            {
+                "group_id": ["g"] * len(rows),
+                "subj_uuid": list(subj),
+                "obj_uuid": ["o"] * len(rows),
+                "uuid": list(uuid),
+                "valid_at": pa.array(valid_at, pa.timestamp("us")),
+                "invalid_at": pa.array(invalid_at, pa.timestamp("us")),
+            }
+        )
+    )
+    got = {r["relation"]: r["n_pairs"] for r in allen_census(edges).take_all()}
+
+    pr = pd.DataFrame(  # noqa: F841 (read by DuckDB by name)
+        [
+            {"s1": a[2], "e1": a[3] or sentinel, "s2": b[2], "e2": b[3] or sentinel}
+            for a, b in (rows[0:2], rows[2:4])
+        ]
+    ).astype("datetime64[us]")
+    sql = e.oracle_sql()["kg_allen_census"]
+    tail = sql[sql.index("cls AS (") :]
+    want = dict(duckdb.sql(f"WITH {tail}").fetchall())
+    assert want == {"other": 1, "before": 1}
+    assert got == want
+
+
 def test_invalidation_report_consistent_with_sweep(ray_session):
     """Every edge the sweep invalidated appears in the report with the
     SAME invalid_at (plain lead == strict lead holds on merged edges:

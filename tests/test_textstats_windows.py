@@ -1,17 +1,9 @@
-"""Text analysis + windowed aggregates + similarity + multimodal stubs."""
-
-from datetime import datetime, timedelta
+"""Text analysis + similarity operators."""
 
 import numpy as np
-import pytest
 
 import ray.data as rd
 
-from graphiti_ray.stages.multimodal import (
-    MediaFeatureExtractor,
-    media_features,
-    synth_media_dataset,
-)
 from graphiti_ray.stages.similarity import knn_brute_force, knn_lsh
 from graphiti_ray.stages.textstats import (
     duplicate_lines,
@@ -22,7 +14,6 @@ from graphiti_ray.stages.textstats import (
     token_stats,
     winnow_fingerprint,
 )
-from graphiti_ray.stages.windows import session_window, sliding_window, tumbling_window
 
 
 def _docs(texts):
@@ -151,123 +142,6 @@ def test_knn_lsh_subset_quality(ray_session):
         assert int(sub[sub["rank"] == 1].vec_id.iloc[0]) == q
 
 
-def test_tumbling_window(ray_session):
-    t0 = datetime(2024, 1, 1)
-    ev = rd.from_items(
-        [
-            {"user_id": 1, "ts": t0 + timedelta(seconds=s), "value": v}
-            for s, v in [(0, 1), (599, 2), (600, 10), (1800, 5)]
-        ]
-    )
-    out = tumbling_window(ev, size_s=600).to_pandas().sort_values("window_start")
-    assert out.n_events.tolist() == [2, 1, 1]
-    assert out.sum_value.tolist() == [3, 10, 5]
-
-
-def test_sliding_window(ray_session):
-    t0 = datetime(2024, 1, 1)
-    ev = rd.from_items([{"user_id": 1, "ts": t0 + timedelta(seconds=650), "value": 7}])
-    out = sliding_window(ev, size_s=600, slide_s=300).to_pandas()
-    # event at 650s belongs to windows starting at 600 and 300
-    starts = sorted((out.window_start - np.datetime64(t0)).dt.total_seconds())
-    assert starts == [300.0, 600.0]
-
-
-def test_session_window(ray_session):
-    t0 = datetime(2024, 1, 1)
-    ev = rd.from_items(
-        [
-            {"user_id": 1, "ts": t0 + timedelta(seconds=s)}
-            for s in [0, 100, 200, 5000, 5100]
-        ]
-    )
-    out = session_window(ev, gap_s=1800).to_pandas().sort_values("session_start")
-    assert len(out) == 2
-    assert out.n_events.tolist() == [3, 2]
-
-
-def test_media_features_stub(ray_session):
-    media = synth_media_dataset(n=16)
-    out = media_features(media, batch_size=4).to_pandas()
-    assert len(out) == 16
-    v = np.asarray(out.feature.iloc[0], dtype="float64")
-    assert len(v) == 32 and abs(np.linalg.norm(v) - 1.0) < 1e-5
-    # deterministic across runs
-    out2 = media_features(synth_media_dataset(n=16), batch_size=4).to_pandas()
-    assert np.allclose(
-        np.stack(out.sort_values("media_id").feature.map(np.asarray)),
-        np.stack(out2.sort_values("media_id").feature.map(np.asarray)),
-    )
-
-
-def test_media_decode_not_implemented():
-    import pytest as _pytest
-
-    ex = MediaFeatureExtractor(decode_stub=False)
-    with _pytest.raises(NotImplementedError):
-        ex._decode(b"payload")
-
-
-def test_media_resize_and_frame_sample_pipeline(ray_session):
-    """Multimodal chain: resize → frame-sample → feature-extract → ANN.
-    Exercises the actor-pool plumbing end-to-end with the stub codecs."""
-    import numpy as np
-
-    from graphiti_ray.stages.multimodal import (
-        frame_sample,
-        media_features,
-        media_resize,
-        synth_media_dataset,
-    )
-    from graphiti_ray.stages.similarity import knn_brute_force
-
-    media = synth_media_dataset(n=12)
-    resized = media_resize(media, width=32, height=32, batch_size=4)
-    rdf = resized.to_pandas()
-    assert (rdf["payload"].map(len) == 32 * 32).all()
-    assert all('"w": 32' in m for m in rdf["meta"])
-
-    frames = frame_sample(resized, n_frames=3, batch_size=4)
-    feats = media_features(frames, batch_size=8).materialize()
-    fdf = feats.to_pandas()
-    assert len(fdf) == 12 * 3
-    assert set(fdf["frame_idx"]) == {0, 1, 2}
-    assert all(abs(np.linalg.norm(v) - 1.0) < 1e-5 for v in fdf["feature"])
-
-    # features flow straight into the ANN operator (vec_id = row key)
-    vecs = feats.map_batches(
-        lambda t: t.select(["feature"])
-        .append_column(
-            "vec_id",
-            __import__("pyarrow").array(
-                [int(m) * 10 + int(f) for m, f in zip(
-                    t.column("media_id").to_pylist(), t.column("frame_idx").to_pylist()
-                )],
-                __import__("pyarrow").int64(),
-            ),
-        )
-        .rename_columns(["embedding", "vec_id"]),
-        batch_format="pyarrow",
-    )
-    top = knn_brute_force(vecs, n_queries=2, k=3).to_pandas()
-    assert set(top["query_id"]) == {0, 1}
-    # self-similarity ranks first
-    assert all(
-        g.sort_values("rank").iloc[0]["vec_id"] == q
-        for q, g in top.groupby("query_id")
-    )
-
-
-def test_media_decode_stub_false_raises(ray_session):
-    from graphiti_ray.stages.multimodal import MediaFeatureExtractor, MediaResize
-    import pytest as _pytest
-
-    with _pytest.raises(NotImplementedError):
-        MediaFeatureExtractor(decode_stub=False)._decode(b"abc")
-    with _pytest.raises(NotImplementedError):
-        MediaResize(8, 8, decode_stub=False)._resize(b"abc")
-
-
 def test_knn_ivf_recall_and_exact_at_full_probe(ray_session):
     """IVF ANN: nprobe=n_clusters degenerates to exact brute force; a
     partial probe keeps high recall on clustered data."""
@@ -389,142 +263,6 @@ def test_semantic_dedup_matches_bruteforce_dominance(ray_session):
     assert (~out.keep).sum() >= 5
 
 
-def _wav_bytes(freq=440.0, sr=8000, n=800, ch=1):
-    """Deterministic 16-bit PCM WAV via the stdlib writer."""
-    import io
-    import wave
-
-    t = np.arange(n) / sr
-    x = (np.sin(2 * np.pi * freq * t) * 12000).astype(np.int16)
-    if ch == 2:
-        x = np.column_stack([x, x // 2]).ravel()
-    buf = io.BytesIO()
-    with wave.open(buf, "wb") as w:
-        w.setnchannels(ch)
-        w.setsampwidth(2)
-        w.setframerate(sr)
-        w.writeframes(x.tobytes())
-    return buf.getvalue()
-
-
-def _ppm_bytes(w=8, h=6):
-    """Deterministic P6 image with a comment in the header."""
-    arr = (np.arange(h * w * 3, dtype=np.int64) * 7 % 256).astype(np.uint8)
-    return (
-        b"P6\n# synthetic test image\n"
-        + f"{w} {h}\n255\n".encode()
-        + arr.tobytes()
-    )
-
-
-def test_real_wav_decode_roundtrip():
-    from graphiti_ray.stages.multimodal import decode_wav, sniff_format
-
-    payload = _wav_bytes(ch=2)
-    assert sniff_format(payload) == "wav"
-    samples, sr = decode_wav(payload)
-    assert sr == 8000 and samples.shape == (800, 2)
-    # the sine's absolute peak survives the decode
-    assert 11000 < np.abs(samples[:, 0]).max() <= 12000
-
-
-def test_real_ppm_decode_resize_roundtrip():
-    from graphiti_ray.stages.multimodal import (
-        decode_ppm,
-        encode_ppm,
-        resize_nearest,
-        sniff_format,
-    )
-
-    payload = _ppm_bytes(w=8, h=6)
-    assert sniff_format(payload) == "ppm"
-    arr = decode_ppm(payload)
-    assert arr.shape == (6, 8, 3)
-    assert decode_ppm(encode_ppm(arr)).tobytes() == arr.tobytes()
-    small = resize_nearest(arr, 4, 3)
-    assert small.shape == (3, 4, 3)
-    # nearest-neighbor: every output pixel is some input pixel
-    flat_in = {bytes(px) for px in arr.reshape(-1, 3)}
-    assert all(bytes(px) in flat_in for px in small.reshape(-1, 3))
-    # 2x downscale picks the odd rows/cols (floor((i+0.5)*2))
-    assert np.array_equal(small, arr[1::2][:, 1::2])
-
-
-def test_media_features_real_and_auto_modes(ray_session):
-    import ray.data as rd_
-
-    from graphiti_ray.stages.multimodal import (
-        MediaFeatureExtractor,
-        media_features,
-    )
-
-    rows = [
-        {"media_id": 0, "mime": "audio/wav", "payload": _wav_bytes(),
-         "meta": "{}"},
-        {"media_id": 1, "mime": "image/ppm", "payload": _ppm_bytes(),
-         "meta": "{}"},
-        {"media_id": 2, "mime": "image/jpeg", "payload": b"\xff\xd8 not a real jpeg",
-         "meta": "{}"},
-    ]
-    # auto: wav/ppm decode for real, jpeg falls back to the stub hash
-    out = (
-        media_features(rd_.from_items(rows), batch_size=2, decode="auto")
-        .to_pandas()
-        .sort_values("media_id")
-    )
-    assert list(out.media_id) == [0, 1, 2]
-    assert (out.feat_max >= 0).all() and out.feature.map(len).eq(32).all()
-    # real mode on an undecodable format hits the documented seam
-    with pytest.raises(NotImplementedError):
-        MediaFeatureExtractor(decode="real")._raw_vals(b"\xff\xd8 jpeg")
-    # real audio features differ from the stub hash of the same payload
-    stub = MediaFeatureExtractor(decode="stub")._raw_vals(rows[0]["payload"])
-    real = MediaFeatureExtractor(decode="real")._raw_vals(rows[0]["payload"])
-    assert not np.array_equal(stub, real)
-
-
-def test_media_resize_real_ppm(ray_session):
-    import json
-
-    import ray.data as rd_
-
-    from graphiti_ray.stages.multimodal import decode_ppm, media_resize
-
-    rows = [
-        {"media_id": 0, "mime": "image/ppm", "payload": _ppm_bytes(w=8, h=6),
-         "meta": "{}"}
-    ]
-    out = media_resize(
-        rd_.from_items(rows), width=4, height=3, decode="real"
-    ).to_pandas()
-    arr = decode_ppm(out.payload[0])
-    assert arr.shape == (3, 4, 3)
-    assert json.loads(out.meta[0]) == {"w": 4, "h": 3}
-
-
-def test_media_auto_mode_survives_corrupt_sniffed_payloads():
-    """A payload whose magic sniffs as PPM/WAV but whose body is garbage
-    must degrade to the stub in auto mode (never kill the task) and stay
-    loud in real mode."""
-    from graphiti_ray.stages.multimodal import (
-        MediaFeatureExtractor,
-        MediaResize,
-        payload_chunk_hashes,
-    )
-
-    fake_ppm = b"P6 is my favorite chip"
-    fake_wav = b"RIFF" + b"\x00" * 4 + b"WAVE" + b"garbage body"
-    auto = MediaFeatureExtractor(decode="auto")
-    for payload in (fake_ppm, fake_wav):
-        assert np.array_equal(
-            auto._raw_vals(payload), payload_chunk_hashes(payload, auto.dim)
-        )
-        with pytest.raises(Exception):
-            MediaFeatureExtractor(decode="real")._raw_vals(payload)
-    rz = MediaResize(4, 4, decode="auto")
-    assert rz._resize(fake_ppm) == rz._stub_resize(fake_ppm)
-
-
 def test_chunk_documents_grid_and_overlap(ray_session):
     import ray.data as rd_
 
@@ -590,73 +328,6 @@ def test_redact_pii_sequential_counts(ray_session):
     assert out.loc[1].clean_text == "nothing sensitive here"
 
 
-def test_dhash64_properties():
-    """dHash invariants: deterministic; scale-invariant under exact 2x
-    nearest upscaling; single-pixel perturbation flips at most its one
-    comparison bit."""
-    import numpy as np
-
-    from graphiti_ray.stages.multimodal import dhash64, luma_gray
-
-    rng = np.random.RandomState(7)
-    gray = rng.randint(0, 200, size=(16, 18)).astype(np.int64)
-    h1 = dhash64(gray)
-    assert h1 == dhash64(gray)  # deterministic
-    # exact 2x upscale samples the same source pixels -> same hash
-    up = np.repeat(np.repeat(gray, 2, axis=0), 2, axis=1)
-    assert dhash64(up) == h1
-    # gray passthrough of luma on R=G=B
-    rgb = np.repeat(gray.astype(np.uint8)[..., None], 3, axis=2)
-    assert (luma_gray(rgb) == gray).all()
-    # perturb ONE sampled pixel -> hamming <= 2 (its left+right comparisons)
-    g2 = gray.copy()
-    g2[1, 1] += 40
-    assert bin(h1 ^ dhash64(g2)).count("1") <= 2
-
-
-def test_image_phash_near_dup_components(ray_session):
-    """Near-dup variants of the same base image cluster together through
-    the REAL PPM decode path; distinct bases never pair (measured-zero
-    cross-base collisions for the quadratic fixture); pairs feed
-    connected_components for keep-one semantics."""
-    import numpy as np
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    from graphiti_ray.stages.dedup import connected_components
-    from graphiti_ray.stages.multimodal import encode_ppm, image_phash_near_dup
-
-    W, H = 18, 16
-    yy, xx = np.mgrid[0:H, 0:W]
-    idx = (yy * W + xx).astype(np.int64)
-    rows = []
-    for d in range(64):
-        g = ((d // 4 + 1) * (idx + 7) * (idx + 7) * 104729) % 251 % 200
-        g[1, 1] += (d % 4) * 8
-        rgb = np.repeat(g.astype(np.uint8)[..., None], 3, axis=2)
-        rows.append({"media_id": d, "payload": encode_ppm(rgb)})
-    media = rd.from_arrow(pa.Table.from_pylist(rows))
-    pairs = image_phash_near_dup(media, max_hamming=2).materialize()
-    got = {(r["a"], r["b"]) for r in pairs.take_all()}
-    want = {
-        (4 * b + i, 4 * b + j)
-        for b in range(16)
-        for i in range(4)
-        for j in range(i + 1, 4)
-    }
-    assert got == want  # full recall, zero spurious pairs
-    comps = connected_components(
-        pairs.map_batches(
-            lambda t: pa.table({"a": t.column("a"), "b": t.column("b")}),
-            batch_format="pyarrow",
-        )
-    ).to_pandas()
-    comp_of = dict(zip(comps["doc_id"], comps["component"]))
-    for d in range(64):
-        assert comp_of.get(d, d) == 4 * (d // 4)  # min-label per base
-
-
 def test_tfidf_keywords(ray_session):
     """Rank ordering, tie-breaks, and the distributed df against a direct
     computation on a corpus small enough to verify by hand."""
@@ -679,202 +350,6 @@ def test_tfidf_keywords(ray_session):
     # every doc emits exactly min(top_k, n_distinct_terms) rows
     assert out.groupby("doc_id").size().tolist() == [2, 2, 2]
     assert set(out["rank"]) == {1, 2}
-
-
-def test_bmp_codec_roundtrip_and_dhash():
-    """Real BMP decode: encode→decode roundtrip is exact (incl. row padding
-    for non-multiple-of-4 widths and the BGR/bottom-up conventions), a
-    top-down (negative height) file decodes identically, corrupt bodies
-    raise, and the dHash pipeline accepts BMP next to PPM."""
-    import numpy as np
-
-    from graphiti_ray.stages.multimodal import (
-        decode_bmp,
-        dhash64,
-        encode_bmp,
-        encode_ppm,
-        luma_gray,
-        resize_nearest,
-        sniff_format,
-    )
-
-    rng = np.random.RandomState(7)
-    img = rng.randint(0, 256, size=(5, 7, 3), dtype=np.uint8)  # w=7: padded
-    payload = encode_bmp(img)
-    assert sniff_format(payload) == "bmp"
-    assert np.array_equal(decode_bmp(payload), img)
-
-    # top-down variant: flip rows in the body, negate biHeight
-    flipped = bytearray(encode_bmp(img[::-1]))
-    flipped[22:26] = (-5).to_bytes(4, "little", signed=True)
-    assert np.array_equal(decode_bmp(bytes(flipped)), img)
-
-    with __import__("pytest").raises(ValueError):
-        decode_bmp(b"BM" + b"\x00" * 12 + (12).to_bytes(4, "little") + b"\x00" * 24)
-
-    # same pixels through BMP and PPM give the same dhash
-    h_bmp = dhash64(luma_gray(decode_bmp(payload)))
-    from graphiti_ray.stages.multimodal import decode_ppm
-
-    h_ppm = dhash64(luma_gray(decode_ppm(encode_ppm(img))))
-    assert h_bmp == h_ppm
-
-    # resize path keeps the format decodeable
-    small = encode_bmp(resize_nearest(img, 4, 3))
-    assert decode_bmp(small).shape == (3, 4, 3)
-
-
-def _psnr(a, b):
-    import numpy as np
-
-    mse = np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2)
-    return 99.0 if mse == 0 else 10 * np.log10(255.0**2 / mse)
-
-
-def test_jpeg_codec_roundtrip():
-    """Real baseline JPEG codec (functions/jpeg.py): encode→decode
-    round-trips a smooth image above 35 dB PSNR across quality levels,
-    both subsampling layouts (4:4:4 / 4:2:0), restart intervals, odd
-    dimensions and grayscale; a flat color block is exact; progressive
-    SOF2 raises at the documented seam."""
-    import numpy as np
-    import pytest as _pytest
-
-    from graphiti_ray.functions.jpeg import decode_jpeg, encode_jpeg
-    from graphiti_ray.stages.multimodal import decode_image, sniff_format
-
-    yy, xx = np.mgrid[0:45, 0:77]
-    img = (
-        np.stack(
-            [
-                xx * 255 / 76,
-                yy * 255 / 44,
-                128 + 100 * np.sin(xx / 9.0) * np.cos(yy / 7.0),
-            ],
-            axis=-1,
-        )
-        .clip(0, 255)
-        .astype(np.uint8)
-    )
-
-    for quality, sub, ri, floor in [
-        (95, "444", 0, 45.0),
-        (85, "444", 3, 40.0),
-        (85, "420", 0, 34.0),
-        (60, "420", 5, 32.0),
-    ]:
-        enc = encode_jpeg(img, quality, sub, restart_interval=ri)
-        assert sniff_format(enc) == "jpeg"
-        dec = decode_jpeg(enc)
-        assert dec.shape == img.shape
-        assert _psnr(img, dec) > floor
-        assert np.array_equal(decode_image(enc), dec)
-
-    # flat color block: every 8x8 is DC-only → exact round-trip
-    flat = np.full((16, 24, 3), (200, 30, 90), np.uint8)
-    assert np.array_equal(decode_jpeg(encode_jpeg(flat, 90)), flat)
-
-    # grayscale single-component scan
-    g = (yy * 255 / 44).astype(np.uint8)
-    dg = decode_jpeg(encode_jpeg(g, 90))
-    assert dg.shape == g.shape and _psnr(g, dg) > 40.0
-
-    # progressive (SOF2) is the documented seam
-    prog = bytearray(encode_jpeg(img, 85))
-    sof = prog.find(b"\xff\xc0")
-    prog[sof + 1] = 0xC2
-    with _pytest.raises(ValueError, match="SOF"):
-        decode_jpeg(bytes(prog))
-
-    with _pytest.raises(ValueError):
-        decode_jpeg(b"not a jpeg")
-
-
-def test_jpeg_media_stages(ray_session):
-    """JPEG payloads flow through the real-decode paths end to end:
-    media_features(decode='real') extracts pixel-derived features,
-    media_resize re-encodes a real JPEG at the target size, and
-    image_phash_near_dup clusters a JPEG re-encode of an image with its
-    PPM original (perceptual hash survives DCT loss)."""
-    import numpy as np
-
-    import ray.data as rd
-
-    from graphiti_ray.functions.jpeg import encode_jpeg
-    from graphiti_ray.stages.multimodal import (
-        decode_image,
-        encode_ppm,
-        image_phash_near_dup,
-        media_features,
-        media_resize,
-        sniff_format,
-    )
-
-    rng = np.random.RandomState(11)
-    # distinct blocky images with ENFORCED horizontal contrast: adjacent
-    # cells alternate dark/bright bands (gap ≥ 55 luma), so the dHash grid
-    # comparisons sit far from their decision boundary and survive JPEG
-    # quantization noise (banded blocking only guarantees recall at
-    # hamming ≤ 3 with 4 bands — the fixture must keep dup pairs there).
-    # A plain gradient would NOT work: every gradient dhashes to all-zeros.
-    # 9 grid columns so each of dHash's 9 sample columns lands in a
-    # DISTINCT cell (8 columns would put two samples in one cell — an
-    # equal-pair comparison that flips on ±1 of codec noise). Cells walk
-    # randomly over 4 well-separated gray levels with adjacent cells
-    # always on different levels: every horizontal comparison has ≥ 75
-    # luma of margin (JPEG-noise-proof bit) but a per-image random
-    # DIRECTION (so distinct images get far-apart hashes — a fixed
-    # dark/bright checkerboard would hash every image identically).
-    def blocky():
-        levels = np.array([15, 90, 165, 240], dtype=np.uint8)
-        idx = np.zeros((6, 9), dtype=np.int64)
-        idx[:, 0] = rng.randint(0, 4, 6)
-        for c in range(1, 9):
-            step = rng.randint(1, 4, 6)  # never 0 → never equal-adjacent
-            idx[:, c] = (idx[:, c - 1] + step) % 4
-        gray = levels[idx]
-        grid = np.repeat(gray[..., None], 3, axis=2)
-        return np.repeat(np.repeat(grid, 5, 0), 5, 1)
-
-    base = [blocky() for _ in range(4)]
-
-    rows = []
-    for i, img in enumerate(base):
-        rows.append(
-            {
-                "media_id": 2 * i,
-                "mime": "image/x-portable-pixmap",
-                "payload": encode_ppm(img),
-                "meta": "{}",
-            }
-        )
-        rows.append(
-            {
-                "media_id": 2 * i + 1,
-                "mime": "image/jpeg",
-                "payload": encode_jpeg(img, quality=95),
-                "meta": "{}",
-            }
-        )
-    media = rd.from_items(rows)
-
-    feats = media_features(media, decode_stub=False).take_all()
-    assert len(feats) == 8
-    assert all(len(r["feature"]) == 32 for r in feats)
-
-    resized = media_resize(media, width=16, height=12, decode_stub=False)
-    for r in resized.take_all():
-        fmt = sniff_format(r["payload"])
-        assert fmt in ("ppm", "jpeg")
-        assert decode_image(r["payload"]).shape == (12, 16, 3)
-
-    pairs = image_phash_near_dup(media, max_hamming=6).take_all()
-    got = {(r["a"], r["b"]) for r in pairs}
-    for i in range(4):  # each JPEG re-encode pairs with its PPM original
-        assert (2 * i, 2 * i + 1) in got
-    # distinct images don't collapse into one cluster
-    cross = {p for p in got if p[0] // 2 != p[1] // 2}
-    assert len(cross) <= 1
 
 
 def test_bigram_lm_scores_matches_sequential(ray_session):
@@ -1036,93 +511,8 @@ def test_pmi_collocations_matches_sequential(ray_session):
             ("learning", "model")} & top_pairs
 
 
-def test_zscore_outliers_matches_numpy(ray_session):
-    from graphiti_ray.stages.windows import zscore_outliers
-
-    rng = np.random.default_rng(7)
-    rows = []
-    for uid in range(4):
-        vals = rng.normal(100.0, 5.0, 40).round(2).clip(0.01)
-        vals[0] = 400.0  # planted outlier per key
-        rows += [
-            {"event_id": uid * 100 + i, "user_id": uid, "value": float(v)}
-            for i, v in enumerate(vals)
-        ]
-    out = (
-        zscore_outliers(rd.from_items(rows).repartition(4), z=3, quant=1000)
-        .to_pandas()
-        .sort_values("event_id")
-        .reset_index(drop=True)
-    )
-    assert len(out) == len(rows)
-    # exact-integer test agrees with the float z-score on every row
-    import pandas as pd
-
-    df = pd.DataFrame(rows)
-    df["v_q"] = np.floor(df.value * 1000).astype(np.int64)
-    g = df.groupby("user_id").v_q
-    mu = g.transform("mean")
-    sd = g.transform(lambda s: s.std(ddof=0))
-    expect = (df.v_q - mu).abs() > 3 * sd
-    got = out.sort_values("event_id").is_outlier.to_numpy()
-    assert (got == expect.to_numpy()).all()
-    # every planted spike flagged
-    assert out[out.event_id % 100 == 0].is_outlier.all()
-
-
-def test_zscore_outliers_overflow_guard(ray_session):
-    from graphiti_ray.stages.windows import zscore_outliers
-
-    rows = [
-        {"event_id": i, "user_id": 0, "value": 5e6} for i in range(3)
-    ]
-    with pytest.raises(Exception):
-        zscore_outliers(rd.from_items(rows), z=3, quant=1000).to_pandas()
-
-
-def test_funnel_conversion_kernel(ray_session):
-    import pandas as pd
-
-    from graphiti_ray.stages.windows import funnel_conversion
-
-    t0 = datetime(2024, 1, 1)
-    rows = []
-    # u1: signup at 0, purchase at 100 (converts), earlier purchase ignored
-    rows += [
-        {"user_id": 1, "ts": t0 + timedelta(seconds=s), "event_type": e}
-        for s, e in [(-50, "purchase"), (0, "signup"), (100, "purchase"),
-                     (200, "purchase")]
-    ]
-    # u2: signup at 0, purchase only past the window (no conversion)
-    rows += [
-        {"user_id": 2, "ts": t0 + timedelta(seconds=s), "event_type": e}
-        for s, e in [(0, "signup"), (2000, "purchase")]
-    ]
-    # u3: purchases but never signs up — excluded entirely
-    rows += [{"user_id": 3, "ts": t0, "event_type": "purchase"}]
-    # u4: two signups; the FIRST anchors the window
-    rows += [
-        {"user_id": 4, "ts": t0 + timedelta(seconds=s), "event_type": e}
-        for s, e in [(0, "signup"), (500, "signup"), (550, "purchase")]
-    ]
-    out = (
-        funnel_conversion(
-            rd.from_items(rows).repartition(3), within_s=600
-        )
-        .to_pandas()
-        .sort_values("user_id")
-        .reset_index(drop=True)
-    )
-    assert out.user_id.tolist() == [1, 2, 4]
-    assert out.converted.tolist() == [True, False, True]
-    assert out.delay_us.tolist()[0] == 100 * 1_000_000
-    assert pd.isna(out.delay_us.tolist()[1])
-    assert out.delay_us.tolist()[2] == 550 * 1_000_000  # anchored at first signup
-    assert pd.isna(out.t_b[1])
-
-
 def test_fixed_histogram_exact_and_clamped(ray_session):
-    from graphiti_ray.stages.windows import fixed_histogram
+    from graphiti_ray.stages.textstats import fixed_histogram
 
     rows = [
         {"g": "a", "v": -5},   # underflow → bin -1
@@ -1173,113 +563,6 @@ def test_top_tokens_by_group_matches_counter(ray_session):
     assert out[out.lang == "en"].n.tolist() == [c["a"], c["b"]]
 
 
-def test_rolling_sum_matches_pandas(ray_session):
-    from graphiti_ray.stages.windows import rolling_sum
-
-    rng = np.random.default_rng(3)
-    t0 = datetime(2024, 1, 1)
-    rows = [
-        {
-            "event_id": i,
-            "user_id": int(i % 4),
-            "ts": t0 + timedelta(seconds=int(rng.integers(0, 10000))),
-            "value_cents": int(rng.integers(-50, 500)),
-        }
-        for i in range(300)
-    ]
-    out = (
-        rolling_sum(rd.from_items(rows).repartition(5), window_rows=3)
-        .to_pandas()
-        .sort_values("event_id")
-        .reset_index(drop=True)
-    )
-    import pandas as pd
-
-    df = pd.DataFrame(rows).sort_values(["user_id", "ts", "event_id"])
-    df["want"] = (
-        df.groupby("user_id").value_cents.rolling(3, min_periods=1).sum()
-        .reset_index(level=0, drop=True)
-    )
-    merged = out.merge(df[["event_id", "want"]], on="event_id")
-    assert (merged.roll_sum == merged.want.astype("int64")).all()
-
-
-def test_mad_outliers_robust_vs_zscore(ray_session):
-    """A single huge spike inflates the z-score threshold but not the MAD
-    one: MAD flags the spike, and the spike alone."""
-    from graphiti_ray.stages.windows import mad_outliers
-
-    rows = [
-        {"event_id": i, "user_id": 0, "value": 100.0 + (i % 7) * 0.5}
-        for i in range(30)
-    ]
-    rows.append({"event_id": 99, "user_id": 0, "value": 10_000.0})
-    out = mad_outliers(rd.from_items(rows).repartition(3)).to_pandas()
-    assert len(out) == 31
-    flagged = set(out[out.is_outlier].event_id)
-    assert flagged == {99}
-    # med/mad are the exact lattice medians
-    import pandas as pd
-
-    vq = pd.Series([int(np.floor(r["value"] * 1000)) for r in rows])
-    med = int(vq.sort_values().iloc[(len(vq) - 1) // 2])
-    absdev = (vq - med).abs()
-    mad = int(absdev.sort_values().iloc[(len(absdev) - 1) // 2])
-    assert (out.med == med).all() and (out["mad"] == mad).all()
-
-
-def test_interval_overlap_pairs_exact_and_once(ray_session):
-    """Pairs match the O(n²) reference exactly — including intervals that
-    share MANY buckets (emitted once, not once per bucket) — and
-    same-key pairs are excluded."""
-    from graphiti_ray.stages.windows import interval_overlap_pairs
-
-    t0 = datetime(2024, 1, 1)
-
-    def iv(k, s_h, e_h):
-        return {
-            "user_id": k,
-            "session_start": t0 + timedelta(hours=s_h),
-            "session_end": t0 + timedelta(hours=e_h),
-        }
-
-    rows = [
-        iv(1, 0, 50),    # long interval spanning many 6h buckets
-        iv(2, 10, 60),   # overlaps 1 across ~7 buckets → exactly one pair
-        iv(3, 55, 58),   # overlaps 2 only
-        iv(4, 100, 101), # overlaps nothing
-        iv(1, 70, 80),   # same key as row 0 — never pairs with key-1 rows
-        iv(2, 72, 75),   # overlaps the second key-1 interval
-    ]
-    out = (
-        interval_overlap_pairs(rd.from_items(rows).repartition(3))
-        .to_pandas()
-        .sort_values(["a_key", "a_start", "b_key", "b_start"])
-        .reset_index(drop=True)
-    )
-    # reference: all cross-key overlapping pairs
-    import itertools
-
-    want = []
-    for x, y in itertools.combinations(rows, 2):
-        if x["user_id"] == y["user_id"]:
-            continue
-        if x["session_start"] <= y["session_end"] and y["session_start"] <= x["session_end"]:
-            a, b = sorted([x, y], key=lambda r: (r["user_id"], r["session_start"]))
-            ov = (
-                min(a["session_end"], b["session_end"])
-                - max(a["session_start"], b["session_start"])
-            )
-            want.append(
-                (a["user_id"], a["session_start"], b["user_id"],
-                 b["session_start"], int(ov.total_seconds() * 1_000_000))
-            )
-    want.sort()
-    got = list(map(tuple, out.itertuples(index=False)))
-    assert [(g[0], g[1].to_pydatetime(), g[2], g[3].to_pydatetime(), g[4]) for g in got] == want
-    assert len(got) == 3  # (1,2), (2,3), (1b-2b) — each exactly once
-
-
 def test_mutual_knn_matches_numpy_reference(ray_session):
     from graphiti_ray.stages.similarity import mutual_knn
 
@@ -1327,109 +610,6 @@ def test_token_entropy_extremes(ray_session):
     assert 0.0 < hm < np.log(8)
 
 
-def test_transition_counts_matches_reference(ray_session):
-    from collections import Counter
-
-    from graphiti_ray.stages.windows import transition_counts
-
-    rng = np.random.default_rng(6)
-    t0 = datetime(2024, 1, 1)
-    rows = [
-        {
-            "event_id": i,
-            "user_id": int(i % 5),
-            "ts": t0 + timedelta(seconds=int(rng.integers(0, 100000))),
-            "event_type": ["a", "b", "c"][int(rng.integers(0, 3))],
-        }
-        for i in range(400)
-    ]
-    out = transition_counts(rd.from_items(rows).repartition(4)).to_pandas()
-    got = {(r.from_type, r.to_type): r.n for r in out.itertuples()}
-
-    want = Counter()
-    import pandas as pd
-
-    df = pd.DataFrame(rows).sort_values(["user_id", "ts", "event_id"])
-    for _, g in df.groupby("user_id"):
-        ts = g.event_type.tolist()
-        want.update(zip(ts, ts[1:]))
-    assert got == dict(want)
-    assert sum(got.values()) == 400 - 5  # n - one terminal per user
-
-
-def test_forward_fill_matches_pandas_ffill(ray_session):
-    from graphiti_ray.stages.windows import forward_fill
-
-    rng = np.random.default_rng(8)
-    t0 = datetime(2024, 1, 1)
-    rows = []
-    for i in range(300):
-        v = float(rng.integers(1, 100))
-        rows.append(
-            {
-                "event_id": i,
-                "user_id": int(i % 4),
-                "ts": t0 + timedelta(seconds=int(rng.integers(0, 50000))),
-                "value": None if rng.random() < 0.4 else v,
-            }
-        )
-    out = (
-        forward_fill(rd.from_items(rows).repartition(5), value_col="value")
-        .to_pandas()
-        .sort_values("event_id")
-        .reset_index(drop=True)
-    )
-    import pandas as pd
-
-    df = pd.DataFrame(rows).sort_values(["user_id", "ts", "event_id"])
-    df["want"] = df.groupby("user_id").value.ffill()
-    merged = out.merge(df[["event_id", "want"]], on="event_id")
-    pd.testing.assert_series_equal(
-        merged.filled, merged.want, check_names=False
-    )
-    # rows before a user's first observation stay null
-    firsts = df.groupby("user_id").head(1)
-    assert merged[merged.event_id.isin(
-        firsts[firsts.value.isna()].event_id
-    )].filled.isna().all()
-
-
-def test_cohort_retention_matches_pandas(ray_session):
-    from graphiti_ray.stages.windows import cohort_retention
-
-    rng = np.random.default_rng(12)
-    t0 = datetime(2024, 1, 1)
-    rows = []
-    for uid in range(30):
-        start = int(rng.integers(0, 4))  # cohort week 0-3
-        for w in sorted(set([start] + list(rng.integers(start, 8, 5)))):
-            rows.append(
-                {
-                    "user_id": uid,
-                    "ts": t0 + timedelta(weeks=int(w), hours=int(uid)),
-                }
-            )
-    out = cohort_retention(rd.from_items(rows).repartition(4)).to_pandas()
-    import pandas as pd
-
-    df = pd.DataFrame(rows)
-    df["period"] = (df.ts.astype("int64") // 1000) // (7 * 86400 * 1_000_000)
-    first = df.groupby("user_id").period.min().rename("cohort")
-    j = df.join(first, on="user_id")
-    j["offset"] = j.period - j.cohort
-    want = (
-        j.drop_duplicates(["user_id", "cohort", "offset"])
-        .groupby(["cohort", "offset"])
-        .size()
-    )
-    got = out.set_index(["cohort", "offset"]).n_active.sort_index()
-    assert got.to_dict() == want.sort_index().to_dict()
-    # every cohort's offset-0 cell counts its full membership
-    m = first.value_counts()
-    for c, n in m.items():
-        assert got[(c, 0)] == n
-
-
 def test_docs_split_is_stable_partition():
     """Every doc lands in exactly one split, ratios near 80/10/10, and
     membership is independent of corpus size (adding docs never moves
@@ -1449,49 +629,6 @@ def test_docs_split_is_stable_partition():
     assert 0.75 < c["train"] / 5000 < 0.85
     assert 0.07 < c["val"] / 5000 < 0.13
     assert 0.07 < c["test"] / 5000 < 0.13
-
-
-def test_events_growth_prefix_is_running_distinct(ray_session):
-    """The operator pipeline (first-seen → per-day new → prefix sum)
-    equals a brute-force running-distinct count over a staggered-user
-    fixture."""
-    import os
-    import sys
-
-    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    import __ray_entry__ as entry_mod
-
-    rng = np.random.default_rng(21)
-    t0 = datetime(2024, 1, 1)
-    rows = []
-    for uid in range(40):
-        first_day = int(rng.integers(0, 10))
-        for d in sorted(set([first_day] + list(rng.integers(first_day, 15, 4)))):
-            rows.append({"user_id": uid, "ts": t0 + timedelta(days=int(d), minutes=uid)})
-    import tempfile
-
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    with tempfile.TemporaryDirectory() as td:
-        pq.write_table(
-            pa.Table.from_pandas(pd.DataFrame(rows)), os.path.join(td, "events.parquet")
-        )
-        out = entry_mod._q_events_growth(td).to_pandas().sort_values("day")
-    df = pd.DataFrame(rows)
-    df["day"] = df.ts.astype("int64") // 1000 // (86400 * 1_000_000)
-    first = df.groupby("user_id").day.min()
-    seen = set()
-    expect = {}
-    for d in sorted(df.day.unique()):
-        seen |= set(df[df.day == d].user_id)
-        expect[d] = len(seen)
-    # the op emits one row per day with >=1 NEW user (its SQL twin's
-    # semantics); on those days the running total equals brute force
-    assert set(out.day) == set(first.unique())
-    assert all(expect[d] == t for d, t in zip(out.day, out.total_users))
-    assert out.new_users.sum() == 40
 
 
 def test_bpe_pair_stats_matches_counter(ray_session):
@@ -1522,113 +659,6 @@ def test_bpe_pair_stats_matches_counter(ray_session):
     assert list(zip(out.pair, out.n)) == expect
     # top-1 sanity: "aa" (from "aa aa aa" + banana runs) dominates
     assert out.n.iloc[0] == ref.most_common(1)[0][1]
-
-
-def test_grouped_ols_matches_numpy_lattice(ray_session):
-    from datetime import datetime, timedelta
-
-    from graphiti_ray.stages.windows import grouped_ols
-
-    origin = datetime(2024, 1, 1)
-    rng = np.random.default_rng(11)
-    rows = []
-    # planted slopes: key 'up' trends +2.5/h, 'down' -1.25/h, 'flat' 0
-    for key, slope, base in [("up", 2.5, 10.0), ("down", -1.25, 200.0), ("flat", 0.0, 50.0)]:
-        for i in range(60):
-            ts = origin + timedelta(hours=i, minutes=int(rng.integers(0, 59)))
-            rows.append(
-                {
-                    "event_type": key,
-                    "ts": ts,
-                    "value": float(max(base + slope * i + rng.normal(0, 0.5), 0.01)),
-                }
-            )
-    out = (
-        grouped_ols(rd.from_items(rows).repartition(5))
-        .to_pandas()
-        .set_index("event_type")
-        .sort_index()
-    )
-    assert len(out) == 3
-    # re-derive on the same lattice with arbitrary-precision ints
-    import pandas as pd
-
-    df = pd.DataFrame(rows)
-    df["x"] = ((df.ts - origin).dt.total_seconds() // 3600).astype(int)
-    df["y"] = np.floor(df.value * 1000).astype(int)
-    for key, g in df.groupby("event_type"):
-        n = len(g)
-        sx, sy = int(g.x.sum()), int(g.y.sum())
-        sxy, sxx = int((g.x * g.y).sum()), int((g.x * g.x).sum())
-        nu, de = n * sxy - sx * sy, n * sxx - sx * sx
-        q = (abs(nu) * 10**6) // abs(de)
-        want = -q if (nu < 0) != (de < 0) else q
-        row = out.loc[key]
-        assert row.num == nu and row.den == de and row.slope_e6 == want
-    # slopes recover the planted trend: slope_e6 is in (value·1000)/hour
-    # ×1e6 units, so +2.5/h → ~2.5e9 and −1.25/h → ~−1.25e9
-    assert abs(out.loc["up"].slope_e6 - 2.5e9) < 0.25e9
-    assert abs(out.loc["down"].slope_e6 + 1.25e9) < 0.125e9
-    assert abs(out.loc["flat"].slope_e6) < 0.2e9
-
-
-def test_grouped_ols_overflow_guard(ray_session):
-    from datetime import datetime
-
-    import pytest as _pytest
-
-    from graphiti_ray.stages.windows import grouped_ols
-
-    rows = [
-        {"event_type": "a", "ts": datetime(2300, 1, 1), "value": 1e15},
-        {"event_type": "a", "ts": datetime(2301, 1, 1), "value": 2e15},
-        {"event_type": "a", "ts": datetime(2302, 1, 1), "value": 3e15},
-    ]
-    with _pytest.raises(Exception, match="lattice overflow|int64"):
-        grouped_ols(rd.from_items(rows)).to_pandas()
-
-
-def test_funnel_sequence_three_steps(ray_session):
-    import pandas as pd
-    from datetime import datetime, timedelta
-
-    from graphiti_ray.stages.windows import funnel_sequence
-
-    t0 = datetime(2024, 1, 1)
-
-    def ev(u, k, minutes):
-        return {"user_id": u, "event_type": k, "ts": t0 + timedelta(minutes=minutes)}
-
-    rows = [
-        # u1 completes all three in order, within the hop window
-        ev(1, "view", 0), ev(1, "click", 5), ev(1, "purchase", 9),
-        # u2: purchase BEFORE click → only 2 steps reached
-        ev(2, "view", 0), ev(2, "purchase", 1), ev(2, "click", 3),
-        # u3: click too late (hop window 10 min) → 1 step
-        ev(3, "view", 0), ev(3, "click", 25),
-        # u4: no view at all → no row
-        ev(4, "click", 0), ev(4, "purchase", 1),
-        # u5: earliest-first semantics — second view earlier window ignored
-        ev(5, "view", 0), ev(5, "view", 50), ev(5, "click", 8),
-        ev(5, "purchase", 30),  # >10 min after click → 2 steps
-    ]
-    out = (
-        funnel_sequence(
-            rd.from_items(rows).repartition(4),
-            steps=["view", "click", "purchase"],
-            within_s=600,
-        )
-        .to_pandas()
-        .set_index("user_id")
-        .sort_index()
-    )
-    assert list(out.index) == [1, 2, 3, 5]
-    assert out.loc[1].reached == 3
-    assert out.loc[2].reached == 2  # purchase precedes click, not counted
-    assert out.loc[3].reached == 1
-    assert out.loc[5].reached == 2
-    assert out.loc[1].t_3 == t0 + timedelta(minutes=9)
-    assert pd.isna(out.loc[3].t_2)
 
 
 def test_pq_degenerate_equals_exact_bruteforce(ray_session):
@@ -1803,36 +833,8 @@ def test_trending_terms_burst_and_smoothing(ray_session):
     assert 0 not in out.index.get_level_values("day")
 
 
-def test_markov_stationary_two_state(ray_session):
-    from datetime import datetime
-
-    from graphiti_ray.stages.windows import markov_stationary
-
-    # one user alternating A<->B ... -> P = [[0,1],[1,0]], uniform start
-    # stays exactly uniform at every round; C appears once as a final
-    # event only (dangling, never a source, never a destination) ->
-    # keeps its 1/3 mass via the self-loop rule
-    rows = []
-    seq = ["A", "B"] * 6 + ["C"]
-    for j, et in enumerate(seq):
-        rows.append(
-            {
-                "event_id": j,
-                "user_id": 1 if j < 12 else 2,
-                "ts": datetime(2024, 1, 1, 0, 0, j),
-                "event_type": et,
-            }
-        )
-    out = {
-        r["event_type"]: r["prob"]
-        for r in markov_stationary(rd.from_items(rows), rounds=4).take_all()
-    }
-    assert abs(out["C"] - 1 / 3) < 1e-12
-    assert abs(out["A"] - 1 / 3) < 1e-12 and abs(out["B"] - 1 / 3) < 1e-12
-
-
 def test_basket_pairs_counts(ray_session):
-    from graphiti_ray.stages.windows import basket_pairs
+    from graphiti_ray.stages.textstats import basket_pairs
 
     rows = []
     # u1: {A,B,C} (A repeated), u2: {A,B}, u3: {C}
@@ -1881,16 +883,8 @@ def test_psi_identical_splits_zero(ray_session):
     assert out2.loc["en", "psi_term_e6"] > 0 and out2.loc["de", "psi_term_e6"] > 0
 
 
-def test_events_gaps_and_pred_pairs_queries(ray_session):
+def test_kg_pred_pairs_query(ray_session):
     import __ray_entry__ as e
-
-    gaps = e.queries()["events_gaps"]("/root/testdata/sf0.001").to_pandas()
-    # single-event users: n_gaps 0, null max
-    solo = gaps[gaps.n_gaps == 0]
-    assert solo.max_gap_us.isna().all() if len(solo) else True
-    multi = gaps[gaps.n_gaps > 0]
-    assert (multi.sum_gap_us >= multi.max_gap_us).all()
-    assert (multi.max_gap_us > 0).all()
 
     pp = e.queries()["kg_pred_pairs"]("/root/testdata/sf0.001").to_pandas()
     assert (pp.type_a < pp.type_b).all()
@@ -1937,26 +931,6 @@ def test_gini_stats_hand_case(ray_session):
     assert w == 14
     g = 2 * w / (3 * 6) - 4 / 3
     assert abs(g - (28 / 18 - 4 / 3)) < 1e-12
-
-
-def test_user_streaks_gaps(ray_session):
-    from datetime import datetime
-
-    from graphiti_ray.stages.windows import user_streaks
-
-    rows = []
-    # u1: days 1,2,3, 7,8 -> n=5, streak 3; u2: day 4 twice -> n=1, streak 1
-    for d in [1, 2, 3, 7, 8]:
-        rows.append({"user_id": 1, "ts": datetime(2024, 1, d, 12)})
-    rows += [
-        {"user_id": 2, "ts": datetime(2024, 1, 4, 1)},
-        {"user_id": 2, "ts": datetime(2024, 1, 4, 23)},
-    ]
-    out = (
-        user_streaks(rd.from_items(rows)).to_pandas().set_index("user_id")
-    )
-    assert out.loc[1].tolist() == [5, 3]
-    assert out.loc[2].tolist() == [1, 1]
 
 
 def test_kg_entity_pmi_signs(ray_session):
@@ -2068,8 +1042,9 @@ def test_llr_collocations_hand(ray_session):
 def test_duckdb_intdiv_semantics_probe():
     """Pins the oracle's ``//`` semantics: DuckDB TRUNCATES toward zero
     on negatives (−7//2 = −3), matching pc.divide — NOT floor division.
-    The windows/_entry day-bucket helpers rely on this; if a DuckDB
-    upgrade flips it, this probe fails before any oracle does."""
+    The engine's pc.divide bucket/modulo arithmetic (stages/urls.py,
+    pipelines/corpus.py) relies on this; if a DuckDB upgrade flips it,
+    this probe fails before any oracle does."""
     import duckdb
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -2080,14 +1055,11 @@ def test_duckdb_intdiv_semantics_probe():
         "// 86400000000"
     ).fetchone()
     assert got == (-3, -1)
-    arrow = pc.divide(pa.array([-7], pa.int64()), 2)[0].as_py()
-    assert arrow == -3
-
-    from graphiti_ray.stages.windows import _floor_div
-
-    vals = pa.array([-7, 7, -126000000000], pa.int64())
-    assert _floor_div(vals, 2).to_pylist()[:2] == [-3, 3]
-    assert _floor_div(vals, 86400000000).to_pylist()[2] == -1
+    arrow = pc.divide(
+        pa.array([-7, 7, -126000000000], pa.int64()),
+        pa.array([2, 2, 86400000000], pa.int64()),
+    )
+    assert arrow.to_pylist() == [-3, 3, -1]
 
 
 def test_bpe_train_hand(ray_session):
