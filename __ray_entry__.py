@@ -42,6 +42,22 @@ from graphiti_ray.pipelines.corpus import (  # noqa: E402
     DEFAULT_MIN_WORDS as DEFAULT_MIN_WORDS_SQL,
 )
 
+
+def _read_embeddings(sf_dir: str, columns: list[str] | None = None):
+    """``embeddings.parquet`` as a Dataset whose blocks carry no schema
+    metadata. The file carries pandas metadata, a dict, which makes a
+    pyarrow schema unhashable: Ray then logs "Failed to hash the schemas"
+    each time it unifies the schemas of several blocks."""
+    import ray.data as rd
+
+    return rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=columns).map_batches(
+        lambda t: t.replace_schema_metadata(None),
+        batch_format="pyarrow",
+        batch_size=None,
+        zero_copy_batch=True,
+    )
+
+
 # ---------------------------------------------------------------------------
 # shared oracle CTEs (documents → derived pages/mentions/canonical entities)
 # ---------------------------------------------------------------------------
@@ -930,11 +946,10 @@ def _q_dedup_embedding(sf_dir: str):
     (embedding_near_dup) is the approximate scale path, pytest-covered.
     τ=0.45 because the synthetic embeddings have no high-cosine dups —
     a vacuous 0-row query proves nothing."""
-    import ray.data as rd
 
     from graphiti_ray.stages.dedup import embedding_near_dup_exact
 
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding"])
     return embedding_near_dup_exact(emb, threshold=0.45)
 
 
@@ -948,11 +963,10 @@ def _q_dedup_embedding_lsh_full(sf_dir: str):
     recall is the pytest-covered approximation knob
     (tests/test_dedup.py). Reference semantics: D2/J1 dedup candidates,
     search_utils.py:662-750."""
-    import ray.data as rd
 
     from graphiti_ray.stages.dedup import embedding_near_dup
 
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding"])
     return embedding_near_dup(
         emb, threshold=0.45, n_planes=0, n_tables=1, max_bucket=1_000_000
     )
@@ -1435,11 +1449,9 @@ SELECT query_id, vec_id, cosine, rank FROM ranked WHERE rank <= 10
 
 
 def _q_knn(sf_dir: str):
-    import ray.data as rd
-
     from graphiti_ray.stages.similarity import knn_brute_force
 
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding"])
     return knn_brute_force(emb, n_queries=32, k=10)
 
 
@@ -1450,11 +1462,10 @@ def _q_knn_ivf(sf_dir: str):
     (driver-sample k-means, centroid broadcast, per-batch assignment,
     probe filter, per-query reduce). Partial-probe recall is the
     pytest-covered approximation knob."""
-    import ray.data as rd
 
     from graphiti_ray.stages.similarity import knn_ivf
 
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding"])
     return knn_ivf(emb, n_queries=32, k=10, n_clusters=8, nprobe=8)
 
 
@@ -1468,11 +1479,10 @@ def _q_embeddings_kmeans(sf_dir: str):
     arithmetic (floor(v*1000), exact int squared-L2, floor-divide
     centroid update, argmin ties → lowest cid) makes the DuckDB twin
     value-exact with zero float-associativity risk."""
-    import ray.data as rd
 
     from graphiti_ray.stages.similarity import kmeans_assign
 
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding"])
     return kmeans_assign(emb, k=8, n_iters=3)
 
 
@@ -2995,11 +3005,10 @@ def _q_embeddings_dbscan(sf_dir: str):
     id = min core id in the core-core component, noise = -1. Oracle: the
     identical neighbor counts / core set / recursive-CTE core closure /
     min-border rule in SQL."""
-    import ray.data as rd
 
     from graphiti_ray.stages.similarity import dbscan_cosine
 
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet")
+    emb = _read_embeddings(sf_dir)
     return dbscan_cosine(emb)
 
 
@@ -3155,13 +3164,10 @@ def _q_embeddings_pq(sf_dir: str):
     Integer-lattice arithmetic (floor(v*1000), exact int squared-L2,
     floor-divide update, argmin ties → lowest cid) reproduces every code
     and quantization error exactly in the DuckDB twin."""
-    import ray.data as rd
 
     from graphiti_ray.stages.similarity import pq_encode
 
-    emb = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding"])
     return pq_encode(emb, m=4, k=8, n_iters=2)
 
 
@@ -3173,13 +3179,10 @@ def _q_knn_pq(sf_dir: str):
     reduce. Approximate by construction but deterministic end to end, so
     the oracle is value-exact on the approximation itself; the m=1,
     k>=n, n_iters=1 degenerate == exact brute force gate is pytest."""
-    import ray.data as rd
 
     from graphiti_ray.stages.similarity import knn_pq
 
-    emb = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding"])
     return knn_pq(emb, n_queries=16, k_top=10, m=4, k=8, n_iters=2)
 
 
@@ -3511,11 +3514,10 @@ def _q_embeddings_semdedup(sf_dir: str):
     keep=false iff a LOWER-id same-cluster vector sits at cosine >= 7/20;
     the threshold test is exact int64 (t_den^2*dot^2 vs t_num^2*n1*n2), so
     the SQL twin shares the kmeans CTEs and adds pure-integer joins."""
-    import ray.data as rd
 
     from graphiti_ray.stages.similarity import semantic_dedup
 
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding"])
     return semantic_dedup(emb, k=8, n_iters=3, t_num=7, t_den=20)
 
 
@@ -3655,9 +3657,7 @@ def _q_knn_classify(sf_dir: str):
     from graphiti_ray.stages.ops import top_k_per_group
     from graphiti_ray.stages.similarity import mutual_knn
 
-    emb = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding"])
     edges = mutual_knn(emb, k=5)
 
     def sym(batch: pa.Table) -> pa.Table:
@@ -3734,14 +3734,11 @@ def _q_knn_neighbor_agg(sf_dir: str):
     """One GNN message-passing hop over the mutual-kNN graph: per node,
     the exact-lattice sum of its neighbours' embedding components
     (long-form SpMV: feature explode → edge join → keyed reduce)."""
-    import ray.data as rd
 
     from graphiti_ray.stages.embed import neighbor_feature_sum
     from graphiti_ray.stages.similarity import mutual_knn
 
-    emb = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding"])
     edges = mutual_knn(emb, k=5)
     return neighbor_feature_sum(edges, emb)
 
@@ -3940,9 +3937,7 @@ def _q_lang_centroids(sf_dir: str):
     from graphiti_ray.stages.embed import column_to_matrix, group_centroids
     from graphiti_ray.stages.link import default_join_partitions, safe_join
 
-    emb = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).rename_columns({"vec_id": "doc_id"})
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding"]).rename_columns({"vec_id": "doc_id"})
 
     # ray 2.49's hash join rejects list<float> payload columns — pack the
     # vector to fixed-width binary across the join, unpack after (pure
@@ -4039,13 +4034,10 @@ def _q_docs_diff(sf_dir: str):
 def _q_knn_mutual(sf_dir: str):
     """Reciprocal k-NN pairs (each in the other's top-5, self excluded)
     — the mutual-NN near-dup/clustering primitive, exact baseline."""
-    import ray.data as rd
 
     from graphiti_ray.stages.similarity import mutual_knn
 
-    emb = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding"])
     return mutual_knn(emb, k=5)
 
 
@@ -4167,13 +4159,10 @@ def _q_embeddings_jl(sf_dir: str):
     """JL ±1 projection 64→16 on the 1e-6 integer lattice — exact
     integer matmul against the md5-derived sign matrix, so summation
     order cannot hash-diverge."""
-    import ray.data as rd
 
     from graphiti_ray.stages.embed import jl_project
 
-    emb = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding"])
     return jl_project(emb)
 
 
@@ -5670,13 +5659,10 @@ def _q_embeddings_cos_hist(sf_dir: str):
     to pick a dedup/ANN threshold): 128 broadcast probes × streamed
     corpus, exact e3-lattice integer dots + one IEEE sqrt/divide per
     pair, floor(cos·10) buckets."""
-    import ray.data as rd
 
     from graphiti_ray.stages.similarity import cosine_histogram
 
-    emb = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding"])
     return cosine_histogram(emb, n_probes=128)
 
 
@@ -5767,13 +5753,10 @@ def _q_embeddings_pca(sf_dir: str):
     block), dim² rows folded on the driver, 4 power rounds with
     floor-division renormalization. The oracle unrolls the identical
     integer recurrence."""
-    import ray.data as rd
 
     from graphiti_ray.stages.similarity import pca_top_component
 
-    emb = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding"])
     return pca_top_component(emb, rounds=4)
 
 
@@ -6043,12 +6026,11 @@ def _q_episode_windows(sf_dir: str):
 def _q_rrf_fusion(sf_dir: str):
     import pyarrow as pa
 
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     from graphiti_ray.stages.similarity import knn_brute_force
 
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding"])
     ranked = knn_brute_force(emb, n_queries=2, k=50)
 
     def score(batch: pa.Table) -> pa.Table:
@@ -6919,13 +6901,10 @@ def _q_embeddings_ood(sf_dir: str):
     """Per-vector OOD margin vs label centroids (mislabel filter):
     centroids from exact integer moment sums (the lang_centroids
     convention), cosines rounded 1e-6, margin = own − best-other."""
-    import ray.data as rd
 
     from graphiti_ray.stages.similarity import ood_margin
 
-    emb = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding", "label"]
-    )
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding", "label"])
     return ood_margin(emb)
 
 
@@ -7131,13 +7110,10 @@ def _q_knn_hard_negatives(sf_dir: str):
     """Contrastive hard-negative mining (DPR): per query vector, the
     top-5 most cosine-similar vectors with a DIFFERENT label — broadcast
     queries, per-batch masked top-k, tiny per-query reduce."""
-    import ray.data as rd
 
     from graphiti_ray.stages.similarity import hard_negatives
 
-    emb = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding", "label"]
-    )
+    emb = _read_embeddings(sf_dir, columns=["vec_id", "embedding", "label"])
     return hard_negatives(emb, n_queries=32, k=5)
 
 

@@ -2,9 +2,21 @@
 
 ``KGSearcher`` (pipelines/search.py) materializes the tables with
 ``to_pandas`` — right for entity-sized graphs, wrong at web scale (the
-round-1 verdict's "pandas-resident searcher"). ``KGDatasetSearcher`` keeps
-every table a ``ray.data.Dataset`` and searches one table in at most two
-streaming passes over it, with no sort, groupby or hash shuffle:
+round-1 verdict's "pandas-resident searcher"). ``KGDatasetSearcher``
+takes each table as a ``ray.data.Dataset`` or as a ``pa.Table`` and
+searches one table in at most two passes over it, with no sort, groupby
+or hash shuffle. The passes are one set of per-block functions run in
+one of two tiers:
+
+- a Dataset: each function runs per block in a streaming Ray Data
+  execution (a table of any size);
+- a ``pa.Table``: each function runs once, in the calling process, over
+  the whole table as its one block — no Ray Data execution. The serving
+  facade passes a table its process may hold this way
+  (``GraphitiFacade._search_tables``), which skips the fixed cost of a Ray
+  Data job per search.
+
+The passes:
 
 1. query-term stats (only when ``bm25`` is configured): each block emits
    ONE row — its row count, token total and the document frequency of
@@ -27,7 +39,9 @@ reads the edges table through ``node_distances``.
 Result parity: identical top-k to ``KGSearcher`` by construction — the
 same BM25 statistics (counted as build_bm25_index does), the same float64
 + round(9) cosine, the same tie order (_score desc, uuid asc), the same
-rerank kernels; asserted by tests/test_dataset_search.py.
+rerank kernels; asserted by tests/test_dataset_search.py. The two tiers
+agree for the same reason: the top k of a single block is the global top
+k, and the merge, rerank and hydrate steps are shared.
 """
 
 from __future__ import annotations
@@ -58,8 +72,40 @@ from graphiti_ray.stages.embed import embed_texts
 # method ids of the scoring pass's ``_m`` column
 _BM25, _COSINE = 0, 1
 
+# a searched table: streamed in Ray Data, or held whole in this process
+Source = rd.Dataset | pa.Table
 
-def _query_stats(ds: rd.Dataset, col: str, terms: list[str]) -> BM25Index:
+
+def _per_block(data: Source, fn, columns: list[str] | None = None) -> list[pa.Table]:
+    """``fn``'s output for every block of ``data`` (projected to
+    ``columns``): one Ray Data pass over a Dataset, or one call in this
+    process over a ``pa.Table``."""
+    if isinstance(data, pa.Table):
+        return [fn(data if columns is None else data.select(columns))]
+    if columns is not None:
+        data = data.select_columns(columns)
+    return list(
+        data.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
+        .iter_batches(batch_size=None, batch_format="pyarrow")
+    )
+
+
+def _schema(data: Source) -> pa.Schema:
+    return data.schema if isinstance(data, pa.Table) else data.schema().base_schema
+
+
+def _touching(batch: pa.Table, origin: pa.Array) -> pa.Table:
+    """Edges with an endpoint in ``origin``."""
+    import pyarrow.compute as pc
+
+    mask = pc.or_(
+        pc.is_in(batch.column("subj_uuid"), value_set=origin),
+        pc.is_in(batch.column("obj_uuid"), value_set=origin),
+    )
+    return batch.filter(mask)
+
+
+def _query_stats(ds: Source, col: str, terms: list[str]) -> BM25Index:
     """Pass 1: table-global BM25 stats of the query terms only."""
     terms = sorted(set(terms))
 
@@ -77,7 +123,7 @@ def _query_stats(ds: rd.Dataset, col: str, terms: list[str]) -> BM25Index:
             }
         )
 
-    rows = ds.select_columns([col]).map_batches(partial, batch_format="pyarrow").take_all()
+    rows = [r for t in _per_block(ds, partial, [col]) for r in t.to_pylist()]
     n = sum(int(r["n"]) for r in rows)
     total = sum(int(r["len"]) for r in rows)
     dfs = np.sum([np.asarray(r["df"], np.int64) for r in rows], axis=0) if rows else []
@@ -100,20 +146,19 @@ def _block_top(batch: pa.Table, scores: np.ndarray, keep: np.ndarray, k: int):
 
 
 class KGDatasetSearcher:
-    """Hybrid searcher whose scoring passes stream over Datasets.
+    """Hybrid searcher whose scoring passes run per block of each table.
 
-    ``tables``: dict with Datasets for ``nodes`` / ``edges`` / ``episodes``
-    (optionally ``communities``); a kind whose table is absent returns an
-    empty frame. Same search surface as ``KGSearcher``.
+    ``tables``: dict with a Dataset or a ``pa.Table`` for ``nodes`` /
+    ``edges`` / ``episodes`` (optionally ``communities``); a kind whose
+    table is absent returns an empty frame. Same search surface as
+    ``KGSearcher``.
     """
 
-    def __init__(
-        self, tables: dict[str, rd.Dataset], cross_encoder=None
-    ):
+    def __init__(self, tables: dict[str, Source], cross_encoder=None):
         self.tables = tables
         self.cross_encoder = cross_encoder
 
-    def _ds(self, kind: str) -> rd.Dataset | None:
+    def _ds(self, kind: str) -> Source | None:
         name = {"edge": "edges", "node": "nodes", "episode": "episodes",
                 "community": "communities"}[kind]
         return self.tables.get(name)
@@ -163,28 +208,22 @@ class KGDatasetSearcher:
             # the blocks of one dataset disagree
             return pa.concat_tables(tables).select(out_schema.names).cast(out_schema)
 
-        blocks = ds.map_batches(
-            score, batch_format="pyarrow", zero_copy_batch=True
-        ).iter_batches(batch_size=None, batch_format="pyarrow")
+        blocks = _per_block(ds, score)
         return pa.concat_tables([out_schema.empty_table(), *blocks]).to_pandas()
 
     def _bfs_rows(self, ds, origin_uuids, limit) -> pd.DataFrame:
         """Edges touching an origin node, first ``limit`` in table order."""
+        origin = pa.array(sorted(set(origin_uuids)), pa.string())
+        if isinstance(ds, pa.Table):
+            return _touching(ds, origin).slice(0, limit).to_pandas()
         import ray
 
-        ref = ray.put(pa.array(sorted(set(origin_uuids)), pa.string()))
+        ref = ray.put(origin)
 
         def hit(batch: pa.Table, _ref=ref) -> pa.Table:
-            import pyarrow.compute as pc
-
             from graphiti_ray.stages.link import _cached_lut
 
-            origin = _cached_lut(_ref)
-            mask = pc.or_(
-                pc.is_in(batch.column("subj_uuid"), value_set=origin),
-                pc.is_in(batch.column("obj_uuid"), value_set=origin),
-            )
-            return batch.filter(mask)
+            return _touching(batch, _cached_lut(_ref))
 
         return ds.map_batches(
             hit, batch_format="pyarrow", zero_copy_batch=True
@@ -197,7 +236,7 @@ class KGDatasetSearcher:
         limit, center_uuid, min_score,
     ) -> pd.DataFrame:
         over = 2 * limit
-        schema = ds.schema().base_schema
+        schema = _schema(ds)
         if not (emb_col and emb_col in schema.names):
             emb_col = None
         cos_col = emb_col if "cosine" in cfg.methods else None
@@ -245,7 +284,10 @@ class KGDatasetSearcher:
             assert center_uuid, "node_distance reranker needs center_node_uuid"
             from graphiti_ray.stages.graph import node_distances
 
-            ddf = node_distances(self.tables["edges"], center_uuid)
+            edges = self.tables["edges"]
+            if isinstance(edges, pa.Table):
+                edges = rd.from_arrow(edges)
+            ddf = node_distances(edges, center_uuid)
             dist = dict(zip(ddf["entity_uuid"], ddf["depth"]))
             if kind == "edge":
                 ranked = edge_distance_rerank(cand, sub, dist, min_score)

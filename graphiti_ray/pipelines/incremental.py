@@ -11,7 +11,8 @@ with the same outcome — is a **group-granular incremental update**:
    no rewrite of history — T6's "expired_at never deletes");
 3. recompute canonical_map / nodes / mention_edges / edges ONLY for the
    affected groups from the (now appended) extracted table, keep the
-   untouched groups' rows verbatim, and atomically swap the tables.
+   untouched groups' rows verbatim (a summarized or attributed node of an
+   untouched group keeps its digest), and atomically swap the tables.
 
 At 10^12-document scale the affected-group set per increment is tiny
 relative to the graph, so an update costs O(affected groups), not O(graph).
@@ -160,10 +161,13 @@ def add_pages(
     canon = canon_keep.union(canon_new).materialize()
     replace_table(out_root, "canonical_map", canon)
 
-    nodes = nodes_from_canonical(canon)
+    # nodes: untouched groups verbatim (their summaries and attributes
+    # too), fresh rows for the affected groups only
+    n_keep = _filter_in(read_table(out_root, "nodes"), "group_id", affected, keep=False)
+    n_new = nodes_from_canonical(canon_new)
     if embeddings:
-        nodes = with_embedding(nodes, "name", "name_embedding")
-    replace_table(out_root, "nodes", nodes)
+        n_new = with_embedding(n_new, "name", "name_embedding")
+    replace_table(out_root, "nodes", n_keep.union(n_new))
 
     lut = canon_lookup_ref(canon_new)
 

@@ -468,7 +468,7 @@ class SearchConfig:
     reranker_min_score: float = 0.0
 
 
-# canned recipes — the full search_config_recipes.py:34-223 set
+# canned recipes (search_config_recipes.py:34-223): the ones a caller uses
 def _edge_only(reranker: str) -> "SearchConfig":
     return SearchConfig(
         edge_config=MethodConfig(reranker=reranker),
@@ -497,33 +497,10 @@ COMBINED_HYBRID_SEARCH_CROSS_ENCODER = SearchConfig(
     community_config=MethodConfig(reranker="cross_encoder"),
 )
 EDGE_HYBRID_SEARCH_RRF = _edge_only("rrf")
-EDGE_HYBRID_SEARCH_MMR = _edge_only("mmr")
 EDGE_HYBRID_SEARCH_NODE_DISTANCE = _edge_only("node_distance")
 EDGE_HYBRID_SEARCH_EPISODE_MENTIONS = _edge_only("episode_mentions")
-EDGE_HYBRID_SEARCH_CROSS_ENCODER = _edge_only("cross_encoder")
 NODE_HYBRID_SEARCH_RRF = _node_only("rrf")
-NODE_HYBRID_SEARCH_MMR = _node_only("mmr")
 NODE_HYBRID_SEARCH_NODE_DISTANCE = _node_only("node_distance")
-NODE_HYBRID_SEARCH_EPISODE_MENTIONS = _node_only("episode_mentions")
-NODE_HYBRID_SEARCH_CROSS_ENCODER = _node_only("cross_encoder")
-COMMUNITY_HYBRID_SEARCH_RRF = SearchConfig(
-    edge_config=None,
-    node_config=None,
-    episode_config=None,
-    community_config=MethodConfig(),
-)
-COMMUNITY_HYBRID_SEARCH_MMR = SearchConfig(
-    edge_config=None,
-    node_config=None,
-    episode_config=None,
-    community_config=MethodConfig(reranker="mmr"),
-)
-COMMUNITY_HYBRID_SEARCH_CROSS_ENCODER = SearchConfig(
-    edge_config=None,
-    node_config=None,
-    episode_config=None,
-    community_config=MethodConfig(reranker="cross_encoder"),
-)
 
 
 @dataclass

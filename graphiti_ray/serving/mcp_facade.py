@@ -170,6 +170,24 @@ class GraphitiFacade:
                 out[key] = read_table(self.out_root, name)
         return out
 
+    def _search_tables(self, name: str) -> dict:
+        """The table ``name`` to search, if complete: a ``pa.Table`` read in
+        this process when its parquet files total at most
+        ``ops.SMALL_SORT_BYTES`` (the repo's bound on what the calling
+        process may hold), else the lazy Dataset of ``_tables``."""
+        from graphiti_ray.stages import ops
+        from graphiti_ray.state.checkpoint import (
+            is_complete,
+            read_table_arrow,
+            table_bytes,
+        )
+
+        if not is_complete(self.out_root, name):
+            return {}
+        if table_bytes(self.out_root, name) <= ops.SMALL_SORT_BYTES:
+            return {name: read_table_arrow(self.out_root, name)}
+        return self._tables([name])
+
     # -- search ----------------------------------------------------------------
 
     def search_nodes(
@@ -178,7 +196,7 @@ class GraphitiFacade:
         from graphiti_ray.pipelines.dataset_search import KGDatasetSearcher
         from graphiti_ray.pipelines.search import NODE_HYBRID_SEARCH_RRF, SearchConfig
 
-        t = self._tables(["nodes"])
+        t = self._search_tables("nodes")
         if "nodes" not in t:
             return _err("graph not built")
         cfg = SearchConfig(
@@ -206,7 +224,7 @@ class GraphitiFacade:
         from graphiti_ray.pipelines.dataset_search import KGDatasetSearcher
         from graphiti_ray.pipelines.search import EDGE_HYBRID_SEARCH_RRF, SearchConfig
 
-        t = self._tables(["edges"])
+        t = self._search_tables("edges")
         if "edges" not in t:
             return _err("graph not built")
         cfg = SearchConfig(

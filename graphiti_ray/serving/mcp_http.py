@@ -13,7 +13,12 @@ protocol FastMCP's SSE mode speaks, on the stdlib ``http.server``:
 - ``POST /messages?session_id=…`` → one JSON-RPC request/notification per
                                  body; replies ``202 Accepted``
                                  immediately (responses travel on the
-                                 SSE stream, per the MCP SSE transport).
+                                 SSE stream, per the MCP SSE transport);
+- ``GET /metrics``             → JSON ``{key: {requests, errors, p50_ms,
+                                 p99_ms}}`` per tool (``tools/call:<name>``)
+                                 or other JSON-RPC method; an error is a
+                                 JSON-RPC error or a tool result with
+                                 ``isError``.
 
 Run:  python -m graphiti_ray.serving.mcp_http --root /path/to/kg_root \
           [--host 127.0.0.1] [--port 8808]
@@ -30,13 +35,33 @@ import json
 import queue
 import sys
 import threading
+import time
 import uuid as _uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+from graphiti_ray.serving.metrics import RequestMetrics
 from graphiti_ray.serving.mcp_stdio import PARSE_ERROR, MCPStdioServer, _rpc_error
 
 _SESSION_GONE = object()  # sentinel a closed session drains
+_METHODS = {"initialize", "ping", "tools/list", "notifications/initialized"}
+
+
+def _rpc_key(msg, tools: set[str]) -> str:
+    """The metrics key of one JSON-RPC message: the tool a ``tools/call``
+    names, else the method; names outside the served set share one key,
+    so the key set stays bounded."""
+    method = msg.get("method") if isinstance(msg, dict) else None
+    if method == "tools/call":
+        name = (msg.get("params") or {}).get("name")
+        return f"tools/call:{name if name in tools else '(unknown)'}"
+    return method if method in _METHODS else "(unknown method)"
+
+
+def _rpc_failed(resp: dict | None) -> bool:
+    return resp is not None and (
+        "error" in resp or bool(resp.get("result", {}).get("isError"))
+    )
 
 
 class _Session:
@@ -56,6 +81,8 @@ class MCPHttpServer:
         self.facade = facade
         self.sessions: dict[str, _Session] = {}
         self.handlers: dict[str, MCPStdioServer] = {}
+        self.metrics = RequestMetrics()
+        self._tools = {spec.name for spec in facade.list_tools()}
         self._lock = threading.Lock()
         outer = self
 
@@ -67,7 +94,16 @@ class MCPHttpServer:
 
             # -- SSE stream ------------------------------------------------
             def do_GET(self):
-                if urlparse(self.path).path != "/sse":
+                path = urlparse(self.path).path
+                if path == "/metrics":
+                    body = json.dumps(outer.metrics.snapshot()).encode("utf-8")
+                    self.send_response(200)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(body)))
+                    self.end_headers()
+                    self.wfile.write(body)
+                    return
+                if path != "/sse":
                     self.send_error(404)
                     return
                 sess = outer._open_session()
@@ -108,12 +144,19 @@ class MCPHttpServer:
                     return
                 length = int(self.headers.get("Content-Length") or 0)
                 body = self.rfile.read(length)
+                t0 = time.perf_counter()
                 try:
                     msg = json.loads(body)
                 except json.JSONDecodeError as exc:
+                    msg = None
                     resp = _rpc_error(None, PARSE_ERROR, f"parse error: {exc}")
                 else:
                     resp = outer.handlers[sid].handle(msg)
+                outer.metrics.record(
+                    _rpc_key(msg, outer._tools),
+                    time.perf_counter() - t0,
+                    error=_rpc_failed(resp),
+                )
                 if resp is not None:
                     sess.out.put(resp)
                 # per the MCP SSE transport the HTTP reply is just an ack;

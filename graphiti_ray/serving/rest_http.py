@@ -28,6 +28,11 @@ graph_admin_routes.py
 - ``GET /get-all-groups``          → 200 {groups: [...]}
 - ``GET /healthcheck``             → 200 {status}
 
+serving metrics (no reference twin)
+- ``GET /metrics``                 → 200 {"<METHOD> <route>": {requests,
+                                     errors, p50_ms, p99_ms}}; an error is
+                                     a response of status 400 or above
+
 Transport is the stdlib ``ThreadingHTTPServer`` (no FastAPI in this
 environment); JSON in/out. Ingestion matches the reference's shape: POST
 /messages returns immediately and a single worker thread drains the
@@ -45,15 +50,37 @@ from __future__ import annotations
 import json
 import re
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlparse
 
 from graphiti_ray.serving.mcp_facade import GraphitiFacade
+from graphiti_ray.serving.metrics import RequestMetrics
 from graphiti_ray.sources.messages import format_message
 
 _EDGE_RE = re.compile(r"^/entity-edge/([^/]+)$")
 _GROUP_RE = re.compile(r"^/group/([^/]+)$")
 _EPISODE_RE = re.compile(r"^/episode/([^/]+)$")
 _EPISODES_RE = re.compile(r"^/episodes/([^/]+)$")
+_PATTERNS = [
+    (_EDGE_RE, "/entity-edge/{uuid}"),
+    (_GROUP_RE, "/group/{group_id}"),
+    (_EPISODE_RE, "/episode/{uuid}"),
+    (_EPISODES_RE, "/episodes/{group_id}"),
+]
+_FIXED = {
+    "/healthcheck", "/get-all-groups", "/metrics", "/messages", "/entity-node",
+    "/clear", "/search", "/search-nodes", "/get-memory",
+}
+
+
+def _route_key(method: str, path: str) -> str:
+    """The metrics key of a request: its method and route template, so
+    the key set stays bounded whatever paths clients send."""
+    path = urlparse(path).path
+    if path not in _FIXED:
+        path = next((t for rx, t in _PATTERNS if rx.match(path)), "(no route)")
+    return f"{method} {path}"
 
 
 def _result(message: str, success: bool = True) -> dict:
@@ -65,6 +92,7 @@ class RestServer:
 
     def __init__(self, facade: GraphitiFacade, host: str = "127.0.0.1", port: int = 0):
         self.facade = facade
+        self.metrics = RequestMetrics()
         self._lock = threading.Lock()  # serializes queue + process_pending
         self._wake = threading.Event()
         self._stop = False
@@ -78,6 +106,13 @@ class RestServer:
                 pass
 
             def _send(self, code: int, payload) -> None:
+                # recorded before the client can see the reply, so a
+                # later GET /metrics always counts this request
+                outer.metrics.record(
+                    _route_key(self.command, self.path),
+                    time.perf_counter() - self._t0,
+                    error=code >= 400,
+                )
                 body = json.dumps(payload).encode("utf-8")
                 self.send_response(code)
                 self.send_header("Content-Type", "application/json")
@@ -94,6 +129,7 @@ class RestServer:
                     return {}
 
             def _route(self, fn) -> None:
+                self._t0 = time.perf_counter()
                 try:
                     fn(self)
                 except Exception as e:  # route errors → JSON 500, keep-alive safe
@@ -130,11 +166,14 @@ class RestServer:
     # -- routes -------------------------------------------------------------
 
     def _get(self, h) -> None:
-        from urllib.parse import parse_qs, urlparse
+        from urllib.parse import parse_qs
 
         u = urlparse(h.path)
         if u.path == "/healthcheck":
             h._send(200, self.facade.get_status())
+            return
+        if u.path == "/metrics":
+            h._send(200, self.metrics.snapshot())
             return
         if u.path == "/get-all-groups":
             h._send(200, self.facade.get_groups())

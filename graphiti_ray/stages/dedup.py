@@ -322,9 +322,6 @@ def _run_pair_indices(starts: np.ndarray, cap: int = MAX_BUCKET):
     return np.concatenate(px_l), np.concatenate(py_l)
 
 
-_PAIRS_SCHEMA = {"est_jaccard": pa.float64()}
-
-
 def _minhash_block_pairs(tbl: pa.Table, threshold: float) -> pa.Table:
     """Vectorized pair kernel over ALL (band, band_hash) runs in a sorted
     block (sorted_run_map contract: runs are complete). Hot buckets are

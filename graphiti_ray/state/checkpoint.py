@@ -306,11 +306,23 @@ def read_table(root: str, name: str, columns: list[str] | None = None) -> rd.Dat
     return rd.read_parquet(table_files(root, name), columns=columns)
 
 
-def read_table_pandas(root: str, name: str, columns: list[str] | None = None):
-    """Driver-local pandas read for SMALL checkpointed tables (vocabulary-
-    sized sidecars like canonical_map): plain pyarrow, no Ray execution.
-    Never call on a corpus-sized table. Same files as ``read_table``."""
+def table_bytes(root: str, name: str) -> int:
+    """Total size of a table's parquet files, from the file system alone."""
+    return sum(os.path.getsize(f) for f in table_files(root, name))
+
+
+def read_table_arrow(root: str, name: str, columns: list[str] | None = None):
+    """In-process ``pa.Table`` read for SMALL checkpointed tables: plain
+    pyarrow, no Ray execution. Never call on a corpus-sized table (check
+    ``table_bytes`` first). Same files, in the same order, as
+    ``read_table``."""
     import pyarrow as pa
 
     tables = [pq.read_table(f, columns=columns) for f in table_files(root, name)]
-    return pa.concat_tables(tables).to_pandas()
+    return pa.concat_tables(tables, promote_options="default")
+
+
+def read_table_pandas(root: str, name: str, columns: list[str] | None = None):
+    """``read_table_arrow`` as a pandas frame (vocabulary-sized sidecars
+    like canonical_map)."""
+    return read_table_arrow(root, name, columns).to_pandas()

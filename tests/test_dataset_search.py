@@ -1,5 +1,7 @@
 """Dataset-mode search parity with the pandas KGSearcher + the
-actor-pool cross-encoder stage (ST3/ST4)."""
+actor-pool cross-encoder stage (ST3/ST4). Every parity case also runs
+over ``pa.Table`` inputs (the in-process tier: the same passes over one
+block, no Ray Data execution)."""
 
 import numpy as np
 import pandas as pd
@@ -49,6 +51,14 @@ def blocky(kg_tables):
 
 
 @pytest.fixture(scope="module")
+def arrow_tables(kg_tables):
+    """The same tables as one ``pa.Table`` each."""
+    import ray
+
+    return {k: pa.concat_tables(ray.get(v.to_arrow_refs())) for k, v in kg_tables.items()}
+
+
+@pytest.fixture(scope="module")
 def group(kg_tables):
     """The group of the top unscoped hit (deterministic)."""
     top = KGSearcher.from_tables(kg_tables).search(QUERY, COMBINED_HYBRID_SEARCH_RRF)
@@ -65,40 +75,56 @@ def _blocks(ds):
     return list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
 
 
-CONFIGS = pytest.mark.parametrize(
+def _with_arrow(name: str, cases: dict):
+    """Parametrize ``name`` over ``cases`` and ``arrow`` over (False, True):
+    each case once over Datasets (its id) and once over ``pa.Table``
+    inputs (its id + "-arrow")."""
+    return pytest.mark.parametrize(
+        f"{name},arrow",
+        [
+            pytest.param(v, arrow, id=k + ("-arrow" if arrow else ""))
+            for arrow in (False, True)
+            for k, v in cases.items()
+        ],
+    )
+
+
+CONFIGS = _with_arrow(
     "config",
-    [
-        COMBINED_HYBRID_SEARCH_RRF,
-        COMBINED_HYBRID_SEARCH_CROSS_ENCODER,
-        EDGE_HYBRID_SEARCH_EPISODE_MENTIONS,
-        COMBINED_HYBRID_SEARCH_MMR,
-    ],
-    ids=["rrf", "cross_encoder", "episode_mentions", "mmr"],
+    {
+        "rrf": COMBINED_HYBRID_SEARCH_RRF,
+        "cross_encoder": COMBINED_HYBRID_SEARCH_CROSS_ENCODER,
+        "episode_mentions": EDGE_HYBRID_SEARCH_EPISODE_MENTIONS,
+        "mmr": COMBINED_HYBRID_SEARCH_MMR,
+    },
 )
 
 
 @CONFIGS
-def test_dataset_search_matches_pandas(ray_session, kg_tables, config):
+def test_dataset_search_matches_pandas(ray_session, kg_tables, arrow_tables, config, arrow):
     a = KGSearcher.from_tables(kg_tables).search(QUERY, config)
-    b = KGDatasetSearcher(kg_tables).search(QUERY, config)
+    b = KGDatasetSearcher(arrow_tables if arrow else kg_tables).search(QUERY, config)
     _assert_same(a, b)
 
 
 @CONFIGS
 @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "group"])
 def test_dataset_search_blocks_match_pandas(
-    ray_session, kg_tables, blocky, group, config, scoped
+    ray_session, kg_tables, blocky, arrow_tables, group, config, arrow, scoped
 ):
-    """Parity on 8 blocks, most without a row of the searched group."""
+    """Parity on 8 blocks, most without a row of the searched group, and
+    on one table."""
     groups = [group] if scoped else None
     a = KGSearcher.from_tables(kg_tables).search(QUERY, config, group_ids=groups)
-    b = KGDatasetSearcher(blocky).search(QUERY, config, group_ids=groups)
+    b = KGDatasetSearcher(arrow_tables if arrow else blocky).search(
+        QUERY, config, group_ids=groups
+    )
     _assert_same(a, b)
     if scoped:
         assert len(b.edges) and set(b.edges["group_id"]) == {group}
 
 
-def test_dataset_search_filter_matches_pandas(ray_session, kg_tables, blocky):
+def test_dataset_search_filter_matches_pandas(ray_session, kg_tables, blocky, arrow_tables):
     from graphiti_ray.pipelines.search import DateFilter, SearchFilters
 
     edges = kg_tables["edges"].to_pandas()
@@ -109,9 +135,12 @@ def test_dataset_search_filter_matches_pandas(ray_session, kg_tables, blocky):
     a = KGSearcher.from_tables(kg_tables).search(
         QUERY, COMBINED_HYBRID_SEARCH_RRF, search_filter=flt
     )
-    b = KGDatasetSearcher(blocky).search(QUERY, COMBINED_HYBRID_SEARCH_RRF, search_filter=flt)
-    _assert_same(a, b)
-    assert len(b.edges) and set(b.edges["pred"]) <= set(flt.edge_types)
+    for tables in (blocky, arrow_tables):
+        b = KGDatasetSearcher(tables).search(
+            QUERY, COMBINED_HYBRID_SEARCH_RRF, search_filter=flt
+        )
+        _assert_same(a, b)
+        assert len(b.edges) and set(b.edges["pred"]) <= set(flt.edge_types)
 
 
 def test_blocky_tables_have_blocks_without_the_group(blocky, group):
@@ -120,30 +149,53 @@ def test_blocky_tables_have_blocks_without_the_group(blocky, group):
     assert any(group not in set(t.column("group_id").to_pylist()) for t in blocks)
 
 
-@pytest.mark.parametrize(
+@_with_arrow(
     "config",
-    [EDGE_HYBRID_SEARCH_NODE_DISTANCE, NODE_HYBRID_SEARCH_NODE_DISTANCE],
-    ids=["edges", "nodes"],
+    {"edges": EDGE_HYBRID_SEARCH_NODE_DISTANCE, "nodes": NODE_HYBRID_SEARCH_NODE_DISTANCE},
 )
-def test_dataset_search_node_distance(ray_session, kg_tables, blocky, group, config):
+def test_dataset_search_node_distance(
+    ray_session, kg_tables, blocky, arrow_tables, group, config, arrow
+):
     a0 = KGSearcher.from_tables(kg_tables).search(
         QUERY, COMBINED_HYBRID_SEARCH_RRF, group_ids=[group]
     )
     center = a0.edges["subj_uuid"].iloc[0]
     a = KGSearcher.from_tables(kg_tables).search(QUERY, config, center_node_uuid=center)
-    b = KGDatasetSearcher(blocky).search(QUERY, config, center_node_uuid=center)
+    b = KGDatasetSearcher(arrow_tables if arrow else blocky).search(
+        QUERY, config, center_node_uuid=center
+    )
     _assert_same(a, b)
 
 
-def test_dataset_search_zero_hits(ray_session, kg_tables, blocky):
+def test_dataset_search_bfs_matches_pandas(ray_session, kg_tables, arrow_tables, group):
+    """BFS: edges touching the origin node, in table order."""
+    a0 = KGSearcher.from_tables(kg_tables).search(
+        QUERY, COMBINED_HYBRID_SEARCH_RRF, group_ids=[group]
+    )
+    origin = [a0.edges["subj_uuid"].iloc[0]]
+    cfg = SearchConfig(
+        edge_config=MethodConfig(methods=["bfs"], bfs_origin_uuids=origin),
+        node_config=None,
+        episode_config=None,
+    )
+    a = KGSearcher.from_tables(kg_tables).search(QUERY, cfg)
+    assert len(a.edges)
+    for tables in (kg_tables, arrow_tables):
+        _assert_same(a, KGDatasetSearcher(tables).search(QUERY, cfg), kinds=("edges",))
+
+
+def test_dataset_search_zero_hits(ray_session, kg_tables, blocky, arrow_tables):
     # episodes search is BM25-only: a query no text contains finds nothing
     a = KGSearcher.from_tables(kg_tables).search("xyzzyq qqvvz", COMBINED_HYBRID_SEARCH_RRF)
-    b = KGDatasetSearcher(blocky).search("xyzzyq qqvvz", COMBINED_HYBRID_SEARCH_RRF)
-    _assert_same(a, b)
-    assert b.episodes.empty and "content" in b.episodes.columns
-    # an unknown group finds nothing by any method
-    b = KGDatasetSearcher(blocky).search(QUERY, COMBINED_HYBRID_SEARCH_RRF, group_ids=["no.such"])
-    assert b.edges.empty and list(b.edges.columns) == blocky["edges"].schema().names
+    for tables in (blocky, arrow_tables):
+        b = KGDatasetSearcher(tables).search("xyzzyq qqvvz", COMBINED_HYBRID_SEARCH_RRF)
+        _assert_same(a, b)
+        assert b.episodes.empty and "content" in b.episodes.columns
+        # an unknown group finds nothing by any method
+        b = KGDatasetSearcher(tables).search(
+            QUERY, COMBINED_HYBRID_SEARCH_RRF, group_ids=["no.such"]
+        )
+        assert b.edges.empty and list(b.edges.columns) == blocky["edges"].schema().names
 
 
 def _tie_table(n=12, dim=64):
@@ -167,9 +219,10 @@ def test_exact_score_ties_break_by_uuid(ray_session):
     t = _tie_table()
     ds = rd.from_arrow([t.slice(i, 3) for i in range(0, len(t), 3)])
     cfg = SearchConfig(edge_config=MethodConfig(), node_config=None, episode_config=None, limit=3)
-    b = KGDatasetSearcher({"edges": ds}).search("alpha", cfg)
     a = KGSearcher(pd.DataFrame(), t.to_pandas(), pd.DataFrame()).search("alpha", cfg)
-    assert list(b.edges["uuid"]) == ["e00", "e01", "e02"] == list(a.edges["uuid"])
+    for edges in (ds, t):
+        b = KGDatasetSearcher({"edges": edges}).search("alpha", cfg)
+        assert list(b.edges["uuid"]) == ["e00", "e01", "e02"] == list(a.edges["uuid"])
 
 
 def test_query_stats_equal_build_bm25_index(ray_session):
@@ -177,20 +230,22 @@ def test_query_stats_equal_build_bm25_index(ray_session):
     t = t.set_column(2, "fact", pa.array(["Alpha beta, alpha!", "beta gamma", None] * 4))
     ds = rd.from_arrow([t.slice(i, 5) for i in range(0, len(t), 5)])
     terms = ["alpha", "beta", "delta", "alpha"]
-    got = _query_stats(ds, "fact", terms)
     want = build_bm25_index(ds.select_columns(["fact"]), "fact").subset(terms)
-    assert (got.n, got.avg_len, got.df) == (want.n, want.avg_len, want.df)
+    for data in (ds, t):
+        got = _query_stats(data, "fact", terms)
+        assert (got.n, got.avg_len, got.df) == (want.n, want.avg_len, want.df)
 
 
-def test_dataset_search_group_scoped(ray_session, kg_tables, group):
+def test_dataset_search_group_scoped(ray_session, kg_tables, arrow_tables, group):
     a = KGSearcher.from_tables(kg_tables).search(
         QUERY, EDGE_HYBRID_SEARCH_RRF, group_ids=[group]
     )
-    b = KGDatasetSearcher(kg_tables).search(
-        QUERY, EDGE_HYBRID_SEARCH_RRF, group_ids=[group]
-    )
-    assert list(a.edges["uuid"]) == list(b.edges["uuid"])
-    assert set(b.edges["group_id"]) <= {group}
+    for tables in (kg_tables, arrow_tables):
+        b = KGDatasetSearcher(tables).search(
+            QUERY, EDGE_HYBRID_SEARCH_RRF, group_ids=[group]
+        )
+        assert list(a.edges["uuid"]) == list(b.edges["uuid"])
+        assert set(b.edges["group_id"]) <= {group}
 
 
 def test_cross_encoder_stage_actor_pool(ray_session, kg_tables):

@@ -205,3 +205,44 @@ def test_ingest_directory_queue(ray_session, kg_root, tmp_path):
     )
     r3 = ingest_directory(kg_root, str(incoming))
     assert [x["file"] for x in r3 if not x.get("skipped")] == ["batch_003.parquet"]
+
+
+def test_add_pages_keeps_untouched_groups_nodes(ray_session, tmp_path):
+    """An ingest into g1 leaves g2's summarized node rows as they were,
+    and g1's node rows equal a fresh recompute from the new canonical map."""
+    from graphiti_ray.pipelines.incremental import nodes_from_canonical, with_embedding
+    from graphiti_ray.stages.extract import episodes_dataset
+    from graphiti_ray.state.checkpoint import checkpointed_write
+
+    root = str(tmp_path / "kg")
+    pages = _pages_table(
+        [("Alice Smith likes Bob Jones.", "g1", T[0]), ("Carol White works at Globex Inc.", "g2", T[1])]
+    )
+    checkpointed_write(episodes_dataset(rd.from_arrow(pages)), root, "episodes", {})
+    run_kg("unused", root, node_summaries=True)
+
+    def group_rows(ds, group):
+        df = ds.to_pandas()
+        df = df[df.group_id == group].sort_values("uuid").reset_index(drop=True)
+        df["name_embedding"] = df["name_embedding"].map(tuple)
+        return df[sorted(df.columns)]
+
+    g2_before = group_rows(read_table(root, "nodes"), "g2.example.com")
+    # the digests this test guards: facts, not the template summary
+    assert g2_before["summary"].str.contains("Globex").all()
+
+    add_pages(
+        root,
+        rd.from_arrow(_pages_table([("A. Smith works at Acme Corp.", "g1", T[4])], start=20)),
+    )
+    nodes = read_table(root, "nodes")
+    pd.testing.assert_frame_equal(
+        group_rows(nodes, "g2.example.com"), g2_before, check_dtype=False
+    )
+    canon = read_table(root, "canonical_map").filter(expr="group_id == 'g1.example.com'")
+    fresh = with_embedding(nodes_from_canonical(canon), "name", "name_embedding")
+    pd.testing.assert_frame_equal(
+        group_rows(nodes, "g1.example.com"),
+        group_rows(fresh, "g1.example.com"),
+        check_dtype=False,
+    )

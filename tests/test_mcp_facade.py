@@ -310,6 +310,61 @@ def test_http_sse_transport_roundtrip(kg_root):
         srv.shutdown()
 
 
+def test_http_metrics_per_tool(tmp_path):
+    """GET /metrics on the SSE server: per tool and per JSON-RPC method,
+    requests, errors (rpc errors and isError results) and latency."""
+    import http.client
+    import json
+    import threading
+
+    from graphiti_ray.serving.mcp_http import MCPHttpServer
+
+    srv = MCPHttpServer(GraphitiFacade(str(tmp_path / "empty")), port=0)
+    host, port = srv.address
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    try:
+        sse = http.client.HTTPConnection(host, port, timeout=30)
+        sse.request("GET", "/sse")
+        stream = sse.getresponse()
+        stream.fp.readline()  # event: endpoint
+        endpoint = stream.fp.readline().decode("utf-8").strip()[len("data: "):]
+
+        def post(body):
+            c = http.client.HTTPConnection(host, port, timeout=30)
+            c.request("POST", endpoint, body=body)
+            assert c.getresponse().status == 202
+            c.close()
+
+        def call(i, name):
+            return json.dumps({
+                "jsonrpc": "2.0", "id": i, "method": "tools/call",
+                "params": {"name": name, "arguments": {}},
+            })
+
+        post(call(1, "get_status"))
+        post(call(2, "get_status"))
+        post(call(3, "no_such_tool"))
+        post(json.dumps({"jsonrpc": "2.0", "id": 4, "method": "tools/list"}))
+        post("{not json")
+        c = http.client.HTTPConnection(host, port, timeout=30)
+        c.request("GET", "/metrics")
+        r = c.getresponse()
+        assert r.status == 200
+        m = json.loads(r.read())
+        c.close()
+        sse.close()
+    finally:
+        srv.shutdown()
+    assert set(m) == {
+        "tools/call:get_status", "tools/call:(unknown)", "tools/list", "(unknown method)",
+    }
+    assert (m["tools/call:get_status"]["requests"], m["tools/call:get_status"]["errors"]) == (2, 0)
+    assert m["tools/call:(unknown)"]["errors"] == 1  # an isError result
+    assert m["tools/list"]["errors"] == 0
+    assert m["(unknown method)"]["errors"] == 1  # the parse error
+    assert all(0 <= v["p50_ms"] <= v["p99_ms"] for v in m.values())
+
+
 def _copy(kg_root, tmp_path) -> str:
     import shutil
 
@@ -365,3 +420,60 @@ def test_search_runs_no_shuffle(kg_root, ray_session, tmp_path, monkeypatch):
     monkeypatch.setattr(rd.Dataset, "groupby", boom)
     assert f.search_facts("Alice Smith works at")["facts"]
     assert any(n["name"] == "Alice Smith" for n in f.search_nodes("Alice Smith")["nodes"])
+
+
+def _count_executions(monkeypatch) -> list[str]:
+    """Records every Ray Data execution started from now on: each runs
+    through one of these two ExecutionPlan entry points."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    calls = []
+    for name in ("execute", "execute_to_iterator"):
+        def counted(self, *a, _name=name, _orig=getattr(ExecutionPlan, name), **k):
+            calls.append(_name)
+            return _orig(self, *a, **k)
+
+        monkeypatch.setattr(ExecutionPlan, name, counted)
+    return calls
+
+
+def test_small_table_search_runs_no_ray_data(kg_root, ray_session, tmp_path, monkeypatch):
+    """A table within ops.SMALL_SORT_BYTES is searched in this process."""
+    f = GraphitiFacade(_copy(kg_root, tmp_path))
+    calls = _count_executions(monkeypatch)
+    assert f.search_facts("Alice Smith works at")["facts"]
+    assert any(n["name"] == "Alice Smith" for n in f.search_nodes("Alice Smith")["nodes"])
+    assert calls == []
+
+
+def test_search_above_bound_matches_in_process(kg_root, ray_session, tmp_path, monkeypatch):
+    """With the bound at 0 every table counts as large: the Dataset path
+    runs, and returns what the in-process path returns, after each of
+    three ingest cycles."""
+    from graphiti_ray.stages import ops
+
+    f = GraphitiFacade(_copy(kg_root, tmp_path))
+    group = "cycles.example.com"
+    for k, (person, org) in enumerate(
+        [("Ada Park", "Hooli Corp."), ("Ben Cho", "Vandelay Inc."), ("Cy Diaz", "Soylent Corp.")]
+    ):
+        fact = f"{person} works at {org}"
+        f.add_episode(f"cycle{k}", fact, group_id=group)
+        assert "processed 1" in f.process_pending()["message"]
+
+        def searches(_fact=fact, _person=person):
+            return (
+                f.search_facts(_fact, group_ids=[group]),
+                f.search_nodes(_person, group_ids=[group]),
+                f.search_facts(_fact),
+            )
+
+        small = searches()
+        with monkeypatch.context() as m:
+            m.setattr(ops, "SMALL_SORT_BYTES", 0)
+            calls = _count_executions(m)
+            large = searches()
+        assert calls  # the Dataset path ran
+        assert large == small
+        assert fact in {x["fact"] for x in small[0]["facts"]}
+        assert person in {n["name"] for n in small[1]["nodes"]}

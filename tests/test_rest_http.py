@@ -176,3 +176,25 @@ def test_admin_and_mutation_routes(rest, ray_session):
     assert code == 200 and out["success"]
     _, status = _req(rest.port, "GET", "/healthcheck")
     assert status["status"] == "empty"
+
+
+def test_metrics_route_counts_requests_errors_latency(tmp_path):
+    """GET /metrics: per route template, requests, errors (status >= 400)
+    and p50 <= p99 latency; unmatched paths share one key."""
+    srv = RestServer(GraphitiFacade(str(tmp_path / "empty")))
+    srv.start()
+    try:
+        for _ in range(3):
+            assert _req(srv.port, "GET", "/healthcheck")[0] == 200
+        for uuid in ("a1", "b2"):
+            assert _req(srv.port, "GET", f"/entity-edge/{uuid}")[0] == 404
+        assert _req(srv.port, "GET", "/no/such/path")[0] == 404
+        code, m = _req(srv.port, "GET", "/metrics")
+    finally:
+        srv.shutdown()
+    assert code == 200
+    assert set(m) == {"GET /healthcheck", "GET /entity-edge/{uuid}", "GET (no route)"}
+    assert (m["GET /healthcheck"]["requests"], m["GET /healthcheck"]["errors"]) == (3, 0)
+    assert (m["GET /entity-edge/{uuid}"]["requests"], m["GET /entity-edge/{uuid}"]["errors"]) == (2, 2)
+    assert m["GET (no route)"]["errors"] == 1
+    assert all(0 <= v["p50_ms"] <= v["p99_ms"] for v in m.values())
