@@ -11,7 +11,9 @@ one of two tiers:
 - a Dataset: each function runs per block in a streaming Ray Data
   execution (a table of any size);
 - a ``pa.Table``: each function runs once, in the calling process, over
-  the whole table as its one block — no Ray Data execution. The serving
+  the whole table as its one block — no Ray Data execution, except that
+  the ``node_distance`` reranker still runs ``node_distances`` as a Ray
+  Data job over the edges (the facade's configs do not use it). The serving
   facade passes a table its process may hold this way
   (``GraphitiFacade._search_tables``), which skips the fixed cost of a Ray
   Data job per search.

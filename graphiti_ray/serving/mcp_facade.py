@@ -172,19 +172,24 @@ class GraphitiFacade:
 
     def _search_tables(self, name: str) -> dict:
         """The table ``name`` to search, if complete: a ``pa.Table`` read in
-        this process when its parquet files total at most
-        ``ops.SMALL_SORT_BYTES`` (the repo's bound on what the calling
-        process may hold), else the lazy Dataset of ``_tables``."""
+        this process when its footers put it within ``ops.SMALL_SORT_ROWS``
+        rows and ``ops.SMALL_SORT_BYTES`` uncompressed parquet bytes (the
+        bounds ``ops`` puts on a sort in the calling process, there on
+        Arrow bytes; see ``table_footprint`` for how the two compare),
+        else the lazy Dataset of ``_tables``. Each search reads its own
+        copy, so a threaded server holds up to (searches in flight) such
+        tables."""
         from graphiti_ray.stages import ops
         from graphiti_ray.state.checkpoint import (
             is_complete,
             read_table_arrow,
-            table_bytes,
+            table_footprint,
         )
 
         if not is_complete(self.out_root, name):
             return {}
-        if table_bytes(self.out_root, name) <= ops.SMALL_SORT_BYTES:
+        rows, size = table_footprint(self.out_root, name)
+        if rows <= ops.SMALL_SORT_ROWS and size <= ops.SMALL_SORT_BYTES:
             return {name: read_table_arrow(self.out_root, name)}
         return self._tables([name])
 

@@ -44,18 +44,6 @@ from graphiti_ray.serving.metrics import RequestMetrics
 from graphiti_ray.serving.mcp_stdio import PARSE_ERROR, MCPStdioServer, _rpc_error
 
 _SESSION_GONE = object()  # sentinel a closed session drains
-_METHODS = {"initialize", "ping", "tools/list", "notifications/initialized"}
-
-
-def _rpc_key(msg, tools: set[str]) -> str:
-    """The metrics key of one JSON-RPC message: the tool a ``tools/call``
-    names, else the method; names outside the served set share one key,
-    so the key set stays bounded."""
-    method = msg.get("method") if isinstance(msg, dict) else None
-    if method == "tools/call":
-        name = (msg.get("params") or {}).get("name")
-        return f"tools/call:{name if name in tools else '(unknown)'}"
-    return method if method in _METHODS else "(unknown method)"
 
 
 def _rpc_failed(resp: dict | None) -> bool:
@@ -82,7 +70,6 @@ class MCPHttpServer:
         self.sessions: dict[str, _Session] = {}
         self.handlers: dict[str, MCPStdioServer] = {}
         self.metrics = RequestMetrics()
-        self._tools = {spec.name for spec in facade.list_tools()}
         self._lock = threading.Lock()
         outer = self
 
@@ -148,14 +135,12 @@ class MCPHttpServer:
                 try:
                     msg = json.loads(body)
                 except json.JSONDecodeError as exc:
-                    msg = None
+                    key = "(unknown method)"
                     resp = _rpc_error(None, PARSE_ERROR, f"parse error: {exc}")
                 else:
-                    resp = outer.handlers[sid].handle(msg)
+                    key, resp = outer.handlers[sid].dispatch(msg)
                 outer.metrics.record(
-                    _rpc_key(msg, outer._tools),
-                    time.perf_counter() - t0,
-                    error=_rpc_failed(resp),
+                    key, time.perf_counter() - t0, error=_rpc_failed(resp)
                 )
                 if resp is not None:
                     sess.out.put(resp)

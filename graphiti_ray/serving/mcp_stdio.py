@@ -54,8 +54,15 @@ class MCPStdioServer:
     def handle(self, msg: dict) -> dict | None:
         """One decoded message → one response dict, or None for
         notifications (which must not be answered)."""
+        return self.dispatch(msg)[1]
+
+    def dispatch(self, msg: dict) -> tuple[str, dict | None]:
+        """``handle`` plus the metrics key of the branch that answered:
+        the method, ``tools/call:<tool>`` for a served tool, and one
+        shared key for anything else, so the key set stays bounded."""
+        unknown = "(unknown method)"
         if not isinstance(msg, dict) or msg.get("jsonrpc") != "2.0":
-            return _rpc_error(None, INVALID_REQUEST, "not a JSON-RPC 2.0 message")
+            return unknown, _rpc_error(None, INVALID_REQUEST, "not a JSON-RPC 2.0 message")
         method = msg.get("method")
         msg_id = msg.get("id")
 
@@ -68,11 +75,12 @@ class MCPStdioServer:
                 # client's initialized notification are tolerated (lenient
                 # server), so the flag gates nothing
                 self.initialized = True
-            return None
+                return method, None
+            return unknown, None
 
         if method == "initialize":
             self.initialized = False
-            return _rpc_result(
+            return method, _rpc_result(
                 msg_id,
                 {
                     "protocolVersion": PROTOCOL_VERSION,
@@ -81,7 +89,7 @@ class MCPStdioServer:
                 },
             )
         if method == "ping":
-            return _rpc_result(msg_id, {})
+            return method, _rpc_result(msg_id, {})
         if method == "tools/list":
             tools = [
                 {
@@ -91,18 +99,21 @@ class MCPStdioServer:
                 }
                 for spec in self.facade.list_tools()
             ]
-            return _rpc_result(msg_id, {"tools": tools})
+            return method, _rpc_result(msg_id, {"tools": tools})
         if method == "tools/call":
             params = msg.get("params") or {}
-            name = params.get("name")
+            name = params.get("name") if isinstance(params, dict) else None
             if not name:
-                return _rpc_error(msg_id, INVALID_PARAMS, "missing tool name")
+                return "tools/call:(unknown)", _rpc_error(
+                    msg_id, INVALID_PARAMS, "missing tool name"
+                )
+            served = any(spec.name == name for spec in self.facade.list_tools())
             try:
                 out = self.facade.call_tool(name, params.get("arguments") or {})
             except Exception as exc:  # tool errors are RESULTS, not rpc errors
                 out = {"error": f"{type(exc).__name__}: {exc}"}
             is_error = isinstance(out, dict) and "error" in out
-            return _rpc_result(
+            return f"tools/call:{name if served else '(unknown)'}", _rpc_result(
                 msg_id,
                 {
                     "content": [
@@ -111,7 +122,7 @@ class MCPStdioServer:
                     "isError": bool(is_error),
                 },
             )
-        return _rpc_error(msg_id, METHOD_NOT_FOUND, f"unknown method: {method}")
+        return unknown, _rpc_error(msg_id, METHOD_NOT_FOUND, f"unknown method: {method}")
 
     # -- transport -------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Request metrics for the HTTP servers (``GET /metrics``).
 
 Per key (a REST route or an MCP tool): the request count and error count
-since start, and p50/p99 latency over the last ``window`` requests of that
+since start, and p50/p99 latency over the last ``_WINDOW`` requests of that
 key, so memory stays bounded however long the server runs.
 """
 
@@ -11,6 +11,8 @@ import math
 import threading
 from collections import deque
 
+_WINDOW = 1024
+
 
 def _nearest_rank(ordered: list[float], q: float) -> float:
     return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
@@ -19,15 +21,14 @@ def _nearest_rank(ordered: list[float], q: float) -> float:
 class RequestMetrics:
     """Thread-safe per-key request counters and a latency window."""
 
-    def __init__(self, window: int = 1024):
-        self.window = window
+    def __init__(self):
         self._lock = threading.Lock()
         self._keys: dict[str, tuple[list[int], deque]] = {}
 
     def record(self, key: str, seconds: float, error: bool) -> None:
         with self._lock:
             counts, recent = self._keys.setdefault(
-                key, ([0, 0], deque(maxlen=self.window))
+                key, ([0, 0], deque(maxlen=_WINDOW))
             )
             counts[0] += 1
             counts[1] += bool(error)

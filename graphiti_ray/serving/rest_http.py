@@ -62,25 +62,6 @@ _EDGE_RE = re.compile(r"^/entity-edge/([^/]+)$")
 _GROUP_RE = re.compile(r"^/group/([^/]+)$")
 _EPISODE_RE = re.compile(r"^/episode/([^/]+)$")
 _EPISODES_RE = re.compile(r"^/episodes/([^/]+)$")
-_PATTERNS = [
-    (_EDGE_RE, "/entity-edge/{uuid}"),
-    (_GROUP_RE, "/group/{group_id}"),
-    (_EPISODE_RE, "/episode/{uuid}"),
-    (_EPISODES_RE, "/episodes/{group_id}"),
-]
-_FIXED = {
-    "/healthcheck", "/get-all-groups", "/metrics", "/messages", "/entity-node",
-    "/clear", "/search", "/search-nodes", "/get-memory",
-}
-
-
-def _route_key(method: str, path: str) -> str:
-    """The metrics key of a request: its method and route template, so
-    the key set stays bounded whatever paths clients send."""
-    path = urlparse(path).path
-    if path not in _FIXED:
-        path = next((t for rx, t in _PATTERNS if rx.match(path)), "(no route)")
-    return f"{method} {path}"
 
 
 def _result(message: str, success: bool = True) -> dict:
@@ -109,7 +90,7 @@ class RestServer:
                 # recorded before the client can see the reply, so a
                 # later GET /metrics always counts this request
                 outer.metrics.record(
-                    _route_key(self.command, self.path),
+                    f"{self.command} {self.route}",
                     time.perf_counter() - self._t0,
                     error=code >= 400,
                 )
@@ -129,7 +110,11 @@ class RestServer:
                     return {}
 
             def _route(self, fn) -> None:
+                # the metrics key: the route template the dispatch matched
+                # (set by its branch), so the key set stays bounded
+                # whatever paths clients send
                 self._t0 = time.perf_counter()
+                self.route = "(no route)"
                 try:
                     fn(self)
                 except Exception as e:  # route errors → JSON 500, keep-alive safe
@@ -170,21 +155,26 @@ class RestServer:
 
         u = urlparse(h.path)
         if u.path == "/healthcheck":
+            h.route = u.path
             h._send(200, self.facade.get_status())
             return
         if u.path == "/metrics":
+            h.route = u.path
             h._send(200, self.metrics.snapshot())
             return
         if u.path == "/get-all-groups":
+            h.route = u.path
             h._send(200, self.facade.get_groups())
             return
         m = _EDGE_RE.match(u.path)
         if m:
+            h.route = "/entity-edge/{uuid}"
             out = self.facade.get_entity_edge(m.group(1))
             h._send(404 if "error" in out else 200, out)
             return
         m = _EPISODES_RE.match(u.path)
         if m:
+            h.route = "/episodes/{group_id}"
             last_n = int(parse_qs(u.query).get("last_n", ["10"])[0])
             out = self.facade.get_episodes(group_id=m.group(1), last_n=last_n)
             h._send(200 if isinstance(out, list) else 404, out)
@@ -194,6 +184,7 @@ class RestServer:
     def _post(self, h) -> None:
         body = h._body()
         if h.path == "/messages":
+            h.route = h.path
             group = body.get("group_id")
             msgs = body.get("messages") or []
             with self._lock:
@@ -214,6 +205,7 @@ class RestServer:
             h._send(202, _result("Messages added to processing queue"))
             return
         if h.path == "/entity-node":
+            h.route = h.path
             with self._lock:
                 out = self.facade.save_entity_node(
                     name=body.get("name") or "",
@@ -224,11 +216,13 @@ class RestServer:
             h._send(400 if "error" in out else 201, out)
             return
         if h.path == "/clear":
+            h.route = h.path
             with self._lock:
                 self.facade.clear_graph()
             h._send(200, _result("Graph cleared"))
             return
         if h.path == "/search":
+            h.route = h.path
             out = self.facade.search_facts(
                 query=body.get("query") or "",
                 group_ids=body.get("group_ids"),
@@ -237,6 +231,7 @@ class RestServer:
             h._send(400 if "error" in out else 200, out)
             return
         if h.path == "/search-nodes":
+            h.route = h.path
             out = self.facade.search_nodes(
                 query=body.get("query") or "",
                 group_ids=body.get("group_ids"),
@@ -245,6 +240,7 @@ class RestServer:
             h._send(400 if "error" in out else 200, out)
             return
         if h.path == "/get-memory":
+            h.route = h.path
             combined = "".join(
                 f"{m.get('role_type') or ''}({m.get('role') or ''}): "
                 f"{m.get('content') or ''}\n"
@@ -266,6 +262,7 @@ class RestServer:
     def _delete(self, h) -> None:
         m = _EDGE_RE.match(h.path)
         if m:
+            h.route = "/entity-edge/{uuid}"
             with self._lock:
                 out = self.facade.delete_entity_edge(m.group(1))
             h._send(
@@ -275,12 +272,14 @@ class RestServer:
             return
         m = _GROUP_RE.match(h.path)
         if m:
+            h.route = "/group/{group_id}"
             with self._lock:
                 self.facade.delete_group(m.group(1))
             h._send(200, _result("Group deleted"))
             return
         m = _EPISODE_RE.match(h.path)
         if m:
+            h.route = "/episode/{uuid}"
             with self._lock:
                 out = self.facade.delete_episode(m.group(1))
             h._send(

@@ -306,15 +306,24 @@ def read_table(root: str, name: str, columns: list[str] | None = None) -> rd.Dat
     return rd.read_parquet(table_files(root, name), columns=columns)
 
 
-def table_bytes(root: str, name: str) -> int:
-    """Total size of a table's parquet files, from the file system alone."""
-    return sum(os.path.getsize(f) for f in table_files(root, name))
+def table_footprint(root: str, name: str) -> tuple[int, int]:
+    """``(rows, uncompressed bytes)`` of a table, summed from its parquet
+    footers alone (no column data is read). The bytes are the column
+    chunks after parquet's encodings (dictionary, RLE) and before
+    compression; an Arrow read holds more: 3.0× for ``edges`` and 5.6×
+    for ``nodes`` of a 5k-page graph."""
+    rows = size = 0
+    for f in table_files(root, name):
+        md = pq.read_metadata(f)
+        rows += md.num_rows
+        size += sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
+    return rows, size
 
 
 def read_table_arrow(root: str, name: str, columns: list[str] | None = None):
     """In-process ``pa.Table`` read for SMALL checkpointed tables: plain
     pyarrow, no Ray execution. Never call on a corpus-sized table (check
-    ``table_bytes`` first). Same files, in the same order, as
+    ``table_footprint`` first). Same files, in the same order, as
     ``read_table``."""
     import pyarrow as pa
 

@@ -346,6 +346,12 @@ def test_http_metrics_per_tool(tmp_path):
         post(call(3, "no_such_tool"))
         post(json.dumps({"jsonrpc": "2.0", "id": 4, "method": "tools/list"}))
         post("{not json")
+        # unhashable names from the client still get a 202 and count as
+        # errors under the shared keys
+        post(json.dumps({"jsonrpc": "2.0", "id": 5, "method": []}))
+        post(call(6, {}))
+        post(call(7, {"x": 1}))
+        post(json.dumps({"jsonrpc": "2.0", "id": 8, "method": "tools/call", "params": [1]}))
         c = http.client.HTTPConnection(host, port, timeout=30)
         c.request("GET", "/metrics")
         r = c.getresponse()
@@ -359,9 +365,11 @@ def test_http_metrics_per_tool(tmp_path):
         "tools/call:get_status", "tools/call:(unknown)", "tools/list", "(unknown method)",
     }
     assert (m["tools/call:get_status"]["requests"], m["tools/call:get_status"]["errors"]) == (2, 0)
-    assert m["tools/call:(unknown)"]["errors"] == 1  # an isError result
+    # an isError result, two missing names and one unknown dict name
+    assert (m["tools/call:(unknown)"]["requests"], m["tools/call:(unknown)"]["errors"]) == (4, 4)
     assert m["tools/list"]["errors"] == 0
-    assert m["(unknown method)"]["errors"] == 1  # the parse error
+    # the parse error and the list-valued method
+    assert (m["(unknown method)"]["requests"], m["(unknown method)"]["errors"]) == (2, 2)
     assert all(0 <= v["p50_ms"] <= v["p99_ms"] for v in m.values())
 
 
@@ -438,7 +446,7 @@ def _count_executions(monkeypatch) -> list[str]:
 
 
 def test_small_table_search_runs_no_ray_data(kg_root, ray_session, tmp_path, monkeypatch):
-    """A table within ops.SMALL_SORT_BYTES is searched in this process."""
+    """A table within ops.SMALL_SORT_ROWS/BYTES is searched in this process."""
     f = GraphitiFacade(_copy(kg_root, tmp_path))
     calls = _count_executions(monkeypatch)
     assert f.search_facts("Alice Smith works at")["facts"]
@@ -447,9 +455,9 @@ def test_small_table_search_runs_no_ray_data(kg_root, ray_session, tmp_path, mon
 
 
 def test_search_above_bound_matches_in_process(kg_root, ray_session, tmp_path, monkeypatch):
-    """With the bound at 0 every table counts as large: the Dataset path
-    runs, and returns what the in-process path returns, after each of
-    three ingest cycles."""
+    """With either bound at 0 every table counts as large: the Dataset
+    path runs, and returns what the in-process path returns, after each
+    of three ingest cycles."""
     from graphiti_ray.stages import ops
 
     f = GraphitiFacade(_copy(kg_root, tmp_path))
@@ -469,11 +477,12 @@ def test_search_above_bound_matches_in_process(kg_root, ray_session, tmp_path, m
             )
 
         small = searches()
-        with monkeypatch.context() as m:
-            m.setattr(ops, "SMALL_SORT_BYTES", 0)
-            calls = _count_executions(m)
-            large = searches()
-        assert calls  # the Dataset path ran
-        assert large == small
+        for bound in ("SMALL_SORT_BYTES", "SMALL_SORT_ROWS"):
+            with monkeypatch.context() as m:
+                m.setattr(ops, bound, 0)
+                calls = _count_executions(m)
+                large = searches()
+            assert calls  # the Dataset path ran
+            assert large == small
         assert fact in {x["fact"] for x in small[0]["facts"]}
         assert person in {n["name"] for n in small[1]["nodes"]}
