@@ -43,19 +43,27 @@ from graphiti_ray.pipelines.corpus import (  # noqa: E402
 )
 
 
-def _read_embeddings(sf_dir: str, columns: list[str] | None = None):
-    """``embeddings.parquet`` as a Dataset whose blocks carry no schema
-    metadata. The file carries pandas metadata, a dict, which makes a
+def _read_sf(path: str, columns: list[str] | None = None):
+    """An input parquet file as a Dataset whose blocks carry no schema
+    metadata. The sf files carry pandas metadata, a dict, which makes a
     pyarrow schema unhashable: Ray then logs "Failed to hash the schemas"
     each time it unifies the schemas of several blocks."""
     import ray.data as rd
 
-    return rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=columns).map_batches(
+    return rd.read_parquet(path, columns=columns).map_batches(
         lambda t: t.replace_schema_metadata(None),
         batch_format="pyarrow",
         batch_size=None,
         zero_copy_batch=True,
     )
+
+
+def _read_embeddings(sf_dir: str, columns: list[str] | None = None):
+    return _read_sf(f"{sf_dir}/embeddings.parquet", columns)
+
+
+def _read_documents(sf_dir: str, columns: list[str] | None = None):
+    return _read_sf(f"{sf_dir}/documents.parquet", columns)
 
 
 # ---------------------------------------------------------------------------
@@ -719,15 +727,13 @@ def _q_kg_edges_messages(sf_dir: str):
     (prompts/extract_nodes.py:98) plus the body's relations, and the same
     linking + temporal pipeline runs. The oracle re-derives the whole graph
     — speakers included in alias resolution — from documents with SQL."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.kg import build_kg_from_episodes
     from graphiti_ray.sources.messages import (
         message_episodes,
         messages_from_documents,
     )
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "source"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "source"])
     eps = message_episodes(messages_from_documents(docs))
     tables = build_kg_from_episodes(eps, embeddings=False)
     return tables["edges"].select_columns(
@@ -749,15 +755,13 @@ def _q_kg_mentions_messages(sf_dir: str):
     speaker-extraction rule (the speaker mention exists even when the
     speaker never appears in any message body,
     prompts/extract_nodes.py:98)."""
-    import ray.data as rd
-
     from graphiti_ray.sources.messages import (
         message_episodes,
         messages_from_documents,
     )
     from graphiti_ray.stages.nlp import mentions_dataset
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "source"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "source"])
     eps = message_episodes(messages_from_documents(docs))
     m = mentions_dataset(eps)
     return m.select_columns(["episode_uuid", "group_id", "name", "valid_at"])
@@ -902,20 +906,16 @@ def _q_kg_edges_ingest_queue(sf_dir: str):
 
 
 def _q_dedup_exact(sf_dir: str):
-    import ray.data as rd
-
     from graphiti_ray.stages.dedup import exact_dedup_documents
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return exact_dedup_documents(docs)
 
 
 def _q_dedup_minhash(sf_dir: str):
-    import ray.data as rd
-
     from graphiti_ray.stages.dedup import minhash_near_dup
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return minhash_near_dup(docs)
 
 
@@ -924,20 +924,16 @@ def _q_dedup_levenshtein(sf_dir: str):
     by Levenshtein edit distance (cost bounded by candidate count, never
     the corpus). Reference analogue: fuzzy-candidate re-scoring before
     merge, graphiti_core/utils/bulk_utils.py:291-396."""
-    import ray.data as rd
-
     from graphiti_ray.stages.dedup import levenshtein_verified_pairs
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return levenshtein_verified_pairs(docs)
 
 
 def _q_dedup_simhash(sf_dir: str):
-    import ray.data as rd
-
     from graphiti_ray.stages.dedup import simhash_near_dup
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return simhash_near_dup(docs)
 
 
@@ -979,11 +975,9 @@ def _q_docs_minimizers(sf_dir: str):
     the density-controlled substring-dedup sketch. One streaming numpy
     pass (sliding_window_view argmin per doc); the twin replays the
     window argmin with a bounded range join + row_number."""
-    import ray.data as rd
-
     from graphiti_ray.stages.dedup import minimizers
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return minimizers(docs, w=8)
 
 
@@ -1058,11 +1052,9 @@ def _q_dedup_minimizer(sf_dir: str):
     the substring-level dedup family member. One range sort on h + the
     run pair kernel (bounded-carry truncate, provably exact under the
     drop rule) + one keyed count."""
-    import ray.data as rd
-
     from graphiti_ray.stages.dedup import minimizer_dedup_pairs
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return minimizer_dedup_pairs(docs)
 
 
@@ -1072,11 +1064,9 @@ def _q_dedup_snm(sf_dir: str):
     compared only with the ≤3 rows before it in sort order (the window
     rides `ops.sorted_lag_list`'s block-tail exchange — no shuffle join,
     no bucket skew), exact distinct-token Jaccard on the 1e6 lattice."""
-    import ray.data as rd
-
     from graphiti_ray.stages.dedup import sorted_neighborhood_pairs
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return sorted_neighborhood_pairs(docs, window=4, key_len=24)
 
 
@@ -1091,11 +1081,9 @@ def _q_dedup_ngram(sf_dir: str):
     unfiltered bottom-k variant lost 84% to hub-bucket truncation)."""
     import pyarrow.compute as pc
 
-    import ray.data as rd
-
     from graphiti_ray.stages.dedup import SHINGLE_K, ngram_jaccard_pairs
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     # docs shorter than the shingle width are excluded on BOTH sides: the
     # engine pads them to one shingle (library semantics), which the SQL
     # twin's substr walk cannot express — the guard keeps the check exact
@@ -1193,11 +1181,9 @@ def _q_docs_chunks(sf_dir: str):
     """Training-window chunking: fixed 512-char windows every 448 chars
     (64 overlap) — the flat-map fan-out of LLM data prep. Oracle: the
     same start grid via range() + substr."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import chunk_documents
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return chunk_documents(docs)
 
 
@@ -1208,11 +1194,9 @@ def _q_docs_decontaminate(sf_dir: str):
     Oracle: 8-gram Horner shingles + probe join in SQL."""
     import pyarrow.compute as pc
 
-    import ray.data as rd
-
     from graphiti_ray.stages.dedup import DECON_K, decontaminate
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     # guard: docs shorter than the gram width take the engine's padding
     # fallback, which the SQL substr walk cannot express
     docs = docs.map_batches(
@@ -1285,11 +1269,9 @@ def _q_docs_pii(sf_dir: str):
     nested regexp_replace / regexp_extract_all."""
     import pyarrow as pa
 
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import redact_pii
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
 
     def augment(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -1358,38 +1340,30 @@ FROM p3
 
 
 def _q_text_tokens(sf_dir: str):
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import token_stats
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return token_stats(docs)
 
 
 def _q_text_quality(sf_dir: str):
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import quality_counts
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return quality_counts(docs)
 
 
 def _q_text_langid(sf_dir: str):
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import language_id
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return language_id(docs)
 
 
 def _q_docs_repetition(sf_dir: str):
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import repetition_stats
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return repetition_stats(docs)
 
 
@@ -1399,11 +1373,10 @@ def _q_docs_dup_lines(sf_dir: str):
     clusters then share real cross-doc lines, making the check
     non-vacuous. The SQL twin rebuilds the identical chunking."""
     import pyarrow as pa
-    import ray.data as rd
 
     from graphiti_ray.stages.textstats import duplicate_lines
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
 
     def chunk(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -1560,11 +1533,9 @@ def _q_docs_blocklist(sf_dir: str):
     ratio form. One vectorized RE2 alternation pass
     (pc.count_substring_regex), integer ratio test, no shuffle. Oracle:
     the identical \\b-alternation via regexp_extract_all."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import blocklist_gate
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return blocklist_gate(docs)
 
 
@@ -1584,11 +1555,9 @@ def _q_docs_coverage(sf_dir: str):
     still-uncovered distinct tokens (ties doc_id asc), stopping when the
     marginal gain hits 0. Oracle: the identical greedy rounds as
     MATERIALIZED CTEs."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.corpus import greedy_coverage_select
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return greedy_coverage_select(docs, k=5)
 
 
@@ -1643,11 +1612,10 @@ def _q_docs_bm25_batch(sf_dir: str):
     import pyarrow as pa
 
     import ray
-    import ray.data as rd
 
     from graphiti_ray.pipelines.search import _tokens, build_bm25_index
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     idx = build_bm25_index(docs, "text")
     q_terms = [_tokens(q) for q in _BM25_BATCH_QUERIES]
     all_terms = sorted({t for q in q_terms for t in q})
@@ -1751,9 +1719,7 @@ def _q_docs_mi(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Count
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["source", "lang"]
-    )
+    docs = _read_documents(sf_dir, columns=["source", "lang"])
     cells = (
         docs.groupby(["lang", "source"])
         .aggregate(Count(alias_name="n_ls"))
@@ -1806,12 +1772,9 @@ def _q_docs_diversity(sf_dir: str):
     reduce, all int64."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["source", "lang"]
-    )
+    docs = _read_documents(sf_dir, columns=["source", "lang"])
     per = docs.groupby(["source", "lang"]).aggregate(Count(alias_name="n"))
 
     def sq(t: pa.Table) -> pa.Table:
@@ -1913,13 +1876,12 @@ def _q_docs_gini(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
 
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     from graphiti_ray.stages.ops import window_rank
 
     ws = _re.compile(r"\s+", _re.ASCII)
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    docs = _read_documents(sf_dir, columns=["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
         from collections import Counter
@@ -1990,11 +1952,9 @@ def _q_docs_zipf_alpha(sf_dir: str):
     """Zipf exponent of the token-frequency distribution (Hill MLE over
     counts ≥ 2, ln terms on the 1e-6 lattice, HUGEINT division) — the
     corpus-shape diagnostic twin of web_degree_alpha."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import zipf_alpha
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    docs = _read_documents(sf_dir, columns=["text"])
     return zipf_alpha(docs, cmin=2)
 
 
@@ -2034,13 +1994,12 @@ def _q_docs_vocab_growth(sf_dir: str):
 
     import pyarrow as pa
 
-    import ray.data as rd
     from ray.data.aggregate import Min, Sum
 
     from graphiti_ray.stages.ops import sorted_prefix_sum
 
     ws = _re.compile(r"\s+", _re.ASCII)
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
 
     def toks(batch: pa.Table) -> pa.Table:
         ids, out = [], []
@@ -2174,13 +2133,9 @@ def _q_docs_training_mix(sf_dir: str):
     class-balanced downsampling → deterministic 80/10/10 split, each
     stage the already-proven operator chained (the docs-side
     web_pipeline). Oracle: the same three CTE stages composed."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.corpus import training_mix
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "text", "lang"])
     return training_mix(docs)
 
 
@@ -2354,11 +2309,9 @@ def _q_docs_balanced(sf_dir: str):
     (minority-class size), deterministically the smallest md5(doc_id)
     keys per class — the training-mix rebalancing step. Oracle: the
     identical md5[:8] ranking as row_number."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.corpus import balanced_sample
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "lang"])
     return balanced_sample(docs)
 
 
@@ -2384,11 +2337,10 @@ def _q_dedup_incremental(sf_dir: str):
     the full minhash pair prefix restricted to pairs touching a new
     doc."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from graphiti_ray.stages.dedup import incremental_near_dup
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
 
     def split(keep_even: bool):
         def f(t, _k=keep_even):
@@ -2412,8 +2364,6 @@ def _q_docs_jsonl_roundtrip(sf_dir: str):
     import hashlib
     import shutil
 
-    import ray.data as rd
-
     from graphiti_ray.sources.jsonl import read_jsonl, write_jsonl
 
     root = (
@@ -2421,7 +2371,7 @@ def _q_docs_jsonl_roundtrip(sf_dir: str):
         f"{hashlib.md5(sf_dir.encode()).hexdigest()[:8]}_{os.getpid()}"
     )
     shutil.rmtree(root, ignore_errors=True)
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet")
+    docs = _read_documents(sf_dir)
     write_jsonl(docs, root)
     return read_jsonl(root).select_columns(
         ["doc_id", "text", "lang", "source", "n_chars"]
@@ -2435,8 +2385,6 @@ def _q_docs_csv_roundtrip(sf_dir: str):
     import hashlib
     import shutil
 
-    import ray.data as rd
-
     from graphiti_ray.sources.jsonl import read_csv, write_csv
 
     root = (
@@ -2444,7 +2392,7 @@ def _q_docs_csv_roundtrip(sf_dir: str):
         f"{hashlib.md5(sf_dir.encode()).hexdigest()[:8]}_{os.getpid()}"
     )
     shutil.rmtree(root, ignore_errors=True)
-    write_csv(rd.read_parquet(f"{sf_dir}/documents.parquet"), root)
+    write_csv(_read_documents(sf_dir), root)
     return read_csv(root).select_columns(
         ["doc_id", "text", "lang", "source", "n_chars"]
     )
@@ -2466,9 +2414,7 @@ def _q_docs_partition_prune(sf_dir: str):
         f"{hashlib.md5(sf_dir.encode()).hexdigest()[:8]}_{os.getpid()}"
     )
     shutil.rmtree(root, ignore_errors=True)
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars", "lang"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "n_chars", "lang"])
     docs.write_parquet(root, partition_cols=["lang"])
     return rd.read_parquet(f"{root}/lang=en").select_columns(
         ["doc_id", "n_chars"]
@@ -2481,11 +2427,9 @@ def _q_docs_snippet(sf_dir: str):
     matching token, ties to the smallest anchor. Query-pruned postings +
     one per-doc searchsorted argmax. Oracle: the anchored window
     pair-join + row_number rule."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.search import best_snippet
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return best_snippet(docs, ["slow", "fast", "join"], window=10)
 
 
@@ -2520,11 +2464,9 @@ def _q_docs_psi(sf_dir: str):
     splits over the lang distribution: exact split counts + each
     bucket's Laplace-smoothed PSI term on the 1e-6 lattice (PSI = Σ
     terms; >0.2 flags drift)."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import psi_by_bucket
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "lang"])
     return psi_by_bucket(docs, bucket_col="lang")
 
 
@@ -2558,11 +2500,7 @@ def _q_docs_rank_tau(sf_dir: str):
     import pandas as pd
     import pyarrow.compute as pc
 
-    import ray.data as rd
-
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "n_chars"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "text", "n_chars"])
 
     def add_words(t):
         import pyarrow as pa
@@ -2635,15 +2573,12 @@ def _q_docs_nb_confusion(sf_dir: str):
     pipeline reports. One keyed hash join + one |langs|² reduce."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
     from ray.data.aggregate import Count
 
     from graphiti_ray.stages.link import default_join_partitions, safe_join
     from graphiti_ray.stages.textstats import naive_bayes_lang
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "text", "lang"])
     pred = naive_bayes_lang(docs)
     gold = docs.map_batches(
         lambda t: t.select(["doc_id", "lang"]),
@@ -2767,11 +2702,9 @@ def _q_tokens_mg(sf_dir: str):
     of the sketch family) — full-capacity gate, so the result equals the
     exact GROUP BY / ORDER BY twin; compaction error and merge rule are
     pytest-asserted."""
-    import ray.data as rd
-
     from graphiti_ray.stages.sketch import mg_top_tokens
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return mg_top_tokens(docs, k=50)
 
 
@@ -2884,11 +2817,10 @@ def _q_docs_len_quantiles_by_lang(sf_dir: str):
     rule."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from graphiti_ray.stages.sketch import kll_quantiles_by
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "text"])
+    docs = _read_documents(sf_dir, columns=["lang", "text"])
     lens = docs.map_batches(
         lambda t: pa.table(
             {
@@ -2931,11 +2863,9 @@ def _q_docs_proximity(sf_dir: str):
     """NEAR/3 proximity search over 4 probe term pairs: query-pruned
     postings + per-doc sorted-merge min position distance (either
     order). Oracle: positional unnest + pair join + min(abs(Δpos))."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.search import proximity_search
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return proximity_search(docs, _PROX_PAIRS, window=3)
 
 
@@ -2972,11 +2902,9 @@ def _q_docs_trending(sf_dir: str):
     (c·10^6) // (c_prev+1), c ≥ 5, day ≥ 1; top 200 by (burst desc, day,
     token). Combiner partials → one keyed sum → one self hash-join on
     (token, prev-day)."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import trending_terms
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return trending_terms(docs)
 
 
@@ -3086,11 +3014,9 @@ def _q_dedup_containment(sf_dir: str):
     rarity-filtered bottom-k blocking as dedup_ngram. Oracle: the full
     shingle→bottom-k→hub-drop→min-shared-key→exact-intersection chain in
     SQL with the containment denominator."""
-    import ray.data as rd
-
     from graphiti_ray.stages.dedup import ngram_containment_pairs
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return ngram_containment_pairs(docs)
 
 
@@ -3100,13 +3026,9 @@ def _q_docs_nb_lang(sf_dir: str):
     training, parameter-sized model broadcast, exact integer scoring on
     the 1e-6 ln lattice. Oracle: the identical count → round(ln·1e6) →
     argmax recurrence in SQL."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import naive_bayes_lang
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "text", "lang"])
     return naive_bayes_lang(docs)
 
 
@@ -3196,11 +3118,10 @@ def _q_docs_len_quantiles(sf_dir: str):
     mergeability are pytest-asserted."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from graphiti_ray.stages.sketch import kll_quantiles
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    docs = _read_documents(sf_dir, columns=["text"])
     lens = docs.map_batches(
         lambda t: pa.table(
             {"v": pc.utf8_length(t.column("text")).cast(pa.int64())}
@@ -3379,11 +3300,9 @@ def _q_docs_lm_score(sf_dir: str):
     groupby+join-back), per-bigram log-probs quantized to an int 1e-6
     lattice BEFORE the per-doc sum so the reduction is exact integer
     addition on both engines."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import bigram_lm_scores
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return bigram_lm_scores(docs)
 
 
@@ -3422,11 +3341,9 @@ def _q_docs_pmi(sf_dir: str):
     corpus groupby to the type table; marginals are type-table groupbys
     joined back; support gate BEFORE the global sort+limit. PMI on the
     int 1e-6 lattice before ranking, ties -> (w1, w2)."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import pmi_collocations
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return pmi_collocations(docs, top_k=50, min_count=5)
 
 
@@ -3465,13 +3382,9 @@ def _q_docs_dsir(sf_dir: str):
     Laplace-smoothed. Counts ride on the occurrence rows via two
     annotate_run_lengths passes — no count table built, joined or
     broadcast — and the reduction is exact int64."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import dsir_importance_weights
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "text", "lang"])
     return dsir_importance_weights(docs, target_col="lang", target_value="en")
 
 
@@ -3539,13 +3452,9 @@ def _q_docs_skyline(sf_dir: str):
     import numpy as np
     import pyarrow as pa
 
-    import ray.data as rd
-
     from graphiti_ray.stages.ops import skyline_2d
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "n_chars"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "text", "n_chars"])
     ws = _re.compile(r"\s+", _re.ASCII)
 
     def with_tokens(batch: pa.Table) -> pa.Table:
@@ -3573,13 +3482,9 @@ def _q_docs_profile(sf_dir: str):
     """Table profiler over (doc_id, lang, n_chars): per-column n /
     nulls / exact distinct / native-order min / max — the data-quality
     describe surface; reduces are column- or distinct-bounded."""
-    import ray.data as rd
-
     from graphiti_ray.stages.ops import profile_table
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "lang", "n_chars"])
     return profile_table(docs, ["doc_id", "lang", "n_chars"])
 
 
@@ -3591,11 +3496,9 @@ def _q_tokens_cms_by_lang(sf_dir: str):
 
     import pyarrow as pa
 
-    import ray.data as rd
-
     from graphiti_ray.stages.sketch import cms_registers_by
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "text"])
+    docs = _read_documents(sf_dir, columns=["lang", "text"])
     ws = _re.compile(r"\s+", _re.ASCII)
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -3621,13 +3524,9 @@ def _q_tokens_cms_by_lang(sf_dir: str):
 def _q_docs_zorder(sf_dir: str):
     """Morton/Z-order codes over (n_chars, doc_id) — the locality-
     preserving layout key; pure vectorized bit interleave, range-guarded."""
-    import ray.data as rd
-
     from graphiti_ray.stages.ops import zorder_codes
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "n_chars"])
     return zorder_codes(docs, "n_chars", "doc_id", ["doc_id"])
 
 
@@ -3635,11 +3534,9 @@ def _q_docs_phrase(sf_dir: str):
     """Positional phrase search over 5 probe phrases: query-pruned posting
     explode + per-doc adjacency verify — work ∝ query-term postings, not
     corpus bytes. Must equal a space-padded LIKE scan."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.search import phrase_search
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return phrase_search(docs, _PHRASES)
 
 
@@ -3650,7 +3547,6 @@ def _q_knn_classify(sf_dir: str):
     via head-1 over complete runs."""
     import pyarrow as pa
 
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     from graphiti_ray.stages.link import default_join_partitions, safe_join
@@ -3671,7 +3567,7 @@ def _q_knn_classify(sf_dir: str):
         )
 
     sedges = edges.map_batches(sym, batch_format="pyarrow", zero_copy_batch=True)
-    langs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
+    langs = _read_documents(sf_dir, columns=["doc_id", "lang"])
     nbr = safe_join(
         sedges, langs, join_type="inner",
         num_partitions=default_join_partitions(), on=("doc_id",),
@@ -3714,9 +3610,7 @@ def _q_docs_split(sf_dir: str):
 
     import pyarrow as pa
 
-    import ray.data as rd
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    docs = _read_documents(sf_dir, columns=["doc_id"])
 
     def assign(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -3747,24 +3641,18 @@ def _q_docs_encode(sf_dir: str):
     """Corpus → id sequences with a frequency-ranked top-100 vocabulary
     (ids 1..100 by count desc / token asc, OOV → 0), vocab broadcast
     once; output the first 2000 docs' long-form (doc_id, pos, token_id)."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.corpus import encode_documents
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return encode_documents(docs)
 
 
 def _q_docs_cube(sf_dir: str):
     """GROUP BY CUBE(lang, source) in one pass: all 4 grouping sets
     emitted per batch with the '(all)' sentinel, one keyed reduce."""
-    import ray.data as rd
-
     from graphiti_ray.stages.ops import rollup_counts
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "source", "n_chars"]
-    )
+    docs = _read_documents(sf_dir, columns=["lang", "source", "n_chars"])
     return rollup_counts(docs, ["lang", "source"], sum_col="n_chars", cube=True)
 
 
@@ -3774,9 +3662,7 @@ def _q_docs_melt(sf_dir: str):
     proving the two are inverse shapes."""
     from graphiti_ray.stages.ops import melt, pivot_counts
 
-    import ray.data as rd
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "source"])
+    docs = _read_documents(sf_dir, columns=["lang", "source"])
     wide = pivot_counts(docs, "lang", "source", _PIVOT_SOURCES)
     return melt(wide, ["lang"], _PIVOT_SOURCES + ["_other"])
 
@@ -3787,11 +3673,9 @@ _PIVOT_SOURCES = [f"src{i}" for i in range(20)]
 def _q_docs_pivot(sf_dir: str):
     """Fixed-category PIVOT: lang × source count grid (20 source columns
     + _other), dense per-batch partials → one |langs|-keyed sum."""
-    import ray.data as rd
-
     from graphiti_ray.stages.ops import pivot_counts
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "source"])
+    docs = _read_documents(sf_dir, columns=["lang", "source"])
     return pivot_counts(docs, "lang", "source", _PIVOT_SOURCES)
 
 
@@ -3802,17 +3686,15 @@ def _q_docs_bloom_join(sf_dir: str):
     (deterministic bit arithmetic both sides)."""
     import pyarrow.compute as pc
 
-    import ray.data as rd
-
     from graphiti_ray.stages.sketch import bloom_semi_join
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "lang"])
     build = docs.map_batches(
         lambda t: t.filter(pc.equal(t.column("lang"), "en")).select(["doc_id"]),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    probe = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    probe = _read_documents(sf_dir, columns=["doc_id"])
     return bloom_semi_join(probe, build, "doc_id")
 
 
@@ -3820,24 +3702,18 @@ def _q_docs_weighted_sample(sf_dir: str):
     """Efraimidis–Spirakis weighted sampling without replacement (weight
     = n_chars, k=50): ln(u)/w keys on the 1e-6 lattice, one streaming
     score pass + one k-row sort/limit."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.corpus import weighted_sample
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "n_chars"])
     return weighted_sample(docs, "n_chars", k=50)
 
 
 def _q_docs_shards(sf_dir: str):
     """Rendezvous-hash shard assignment (8 shards): argmax of the salted
     md5 per shard — consistent placement, pure streaming map."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.corpus import rendezvous_shards
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    docs = _read_documents(sf_dir, columns=["doc_id"])
     return rendezvous_shards(docs, n_shards=8)
 
 
@@ -3851,12 +3727,9 @@ def _q_lang_moments(sf_dir: str):
     import numpy as np
     import pyarrow as pa
 
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "text", "n_chars"]
-    )
+    docs = _read_documents(sf_dir, columns=["lang", "text", "n_chars"])
     ws = _re.compile(r"\s+", _re.ASCII)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -3902,11 +3775,9 @@ def _q_docs_entropy(sf_dir: str):
     """Per-doc token Shannon entropy on the 1e-6 log lattice with the
     division cleared (hn_e6 = rint(n·ln n·1e6) − Σ rint(c·ln c·1e6)) —
     exact int64; the repetitiveness quality signal."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import token_entropy
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return token_entropy(docs)
 
 
@@ -3916,11 +3787,9 @@ def _q_docs_bpe_pairs(sf_dir: str):
     asc) — the frequency pass a BPE tokenizer trainer runs before its
     first merge. Per-batch uint64-packed np.unique combiner, so the
     groupby shuffles pre-summed partials."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import bpe_pair_stats
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    docs = _read_documents(sf_dir, columns=["text"])
     return bpe_pair_stats(docs, top_n=200)
 
 
@@ -3931,8 +3800,6 @@ def _q_lang_centroids(sf_dir: str):
     rows. The float centroid = sum_q/(n·1e6) is derived."""
     import numpy as np
     import pyarrow as pa
-
-    import ray.data as rd
 
     from graphiti_ray.stages.embed import column_to_matrix, group_centroids
     from graphiti_ray.stages.link import default_join_partitions, safe_join
@@ -3962,7 +3829,7 @@ def _q_lang_centroids(sf_dir: str):
             {"lang": batch.column("lang"), "embedding": lists}
         )
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "lang"])
     joined = safe_join(
         emb.map_batches(pack, batch_format="pyarrow", zero_copy_batch=True),
         docs,
@@ -3977,11 +3844,9 @@ def _q_docs_epoch_shuffle(sf_dir: str):
     """Deterministic epoch-1 global shuffle positions: rank of
     md5('1|'||doc_id) via one range sort + the cross-block prefix-sum
     row-number primitive."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.corpus import epoch_shuffle_positions
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    docs = _read_documents(sf_dir, columns=["doc_id"])
     return epoch_shuffle_positions(docs, epoch=1)
 
 
@@ -3991,13 +3856,9 @@ def _q_docs_diff(sf_dir: str):
     only the delta survives."""
     import pyarrow as pa
 
-    import ray.data as rd
-
     from graphiti_ray.stages.ops import dataset_diff
 
-    a = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
-    )
+    a = _read_documents(sf_dir, columns=["doc_id", "lang", "n_chars"])
 
     def mutate(batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -4025,9 +3886,9 @@ def _q_docs_diff(sf_dir: str):
         )
         return pa.concat_tables([changed, added])
 
-    b = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
-    ).map_batches(mutate, batch_format="pyarrow", zero_copy_batch=True)
+    b = _read_documents(sf_dir, columns=["doc_id", "lang", "n_chars"]).map_batches(
+        mutate, batch_format="pyarrow", zero_copy_batch=True
+    )
     return dataset_diff(a, b, ["doc_id"], ["lang", "n_chars"])
 
 
@@ -4044,11 +3905,9 @@ def _q_knn_mutual(sf_dir: str):
 def _q_docs_checksum(sf_dir: str):
     """Order-independent mod-2^64 content checksum of (doc_id, lang) —
     the migration-validation primitive; three scalars reach the driver."""
-    import ray.data as rd
-
     from graphiti_ray.stages.ops import content_checksum
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "lang"])
     return content_checksum(docs, ["doc_id", "lang"])
 
 
@@ -4056,13 +3915,9 @@ def _q_docs_rollup(sf_dir: str):
     """GROUP BY ROLLUP(lang, source) in one pass: per-batch partials for
     every prefix level with the '(all)' sentinel, one keyed reduce —
     never one groupby per level."""
-    import ray.data as rd
-
     from graphiti_ray.stages.ops import rollup_counts
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "source", "n_chars"]
-    )
+    docs = _read_documents(sf_dir, columns=["lang", "source", "n_chars"])
     return rollup_counts(docs, ["lang", "source"], sum_col="n_chars")
 
 
@@ -4073,12 +3928,11 @@ def _q_lang_distinct_texts(sf_dir: str):
     keeps full texts off the wire)."""
     import pyarrow as pa
 
-    import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
     from graphiti_ray.stages.dedup import md5_hex_column
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "text"])
+    docs = _read_documents(sf_dir, columns=["lang", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table(
@@ -4117,11 +3971,7 @@ def _q_lang_distinct_texts(sf_dir: str):
 def _set_op_sides(sf_dir: str):
     import pyarrow.compute as pc
 
-    import ray.data as rd
-
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "lang", "n_chars"])
     a = docs.map_batches(
         lambda t: t.filter(pc.equal(t.column("lang"), "en")).select(["doc_id"]),
         batch_format="pyarrow",
@@ -4170,11 +4020,9 @@ def _q_lang_top_tokens(sf_dir: str):
     """Exact per-language top-5 tokens (count desc, token asc) — the
     heavy-hitter exact twin of tokens_cms: per-batch combiner → one
     vocabulary-sized keyed sum → head-k over complete runs."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import top_tokens_by_group
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "text"])
+    docs = _read_documents(sf_dir, columns=["lang", "text"])
     return top_tokens_by_group(docs, k=5)
 
 
@@ -4182,13 +4030,9 @@ def _q_docs_histogram(sf_dir: str):
     """Per-language equi-width length histogram (20 bins over [0, 500)
     chars, integer binning — no float boundaries): np.unique count
     partials → one keyed sum over ≤ |langs|·22 rows."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import fixed_histogram
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"]
-    )
+    docs = _read_documents(sf_dir, columns=["lang", "n_chars"])
     return fixed_histogram(docs, "n_chars", lo=0, hi=500, n_bins=20, by="lang")
 
 
@@ -4197,11 +4041,7 @@ def _q_docs_quality_filter(sf_dir: str):
     (vectorized filter inside map_batches; predicate pushdown shape)."""
     import pyarrow as pa
 
-    import ray.data as rd
-
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "n_chars"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "text", "n_chars"])
 
     def keep(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -4225,21 +4065,17 @@ def _q_corpus_clean(sf_dir: str):
     """Composite training-data cleaning (language gate → quality gate →
     exact dedup winners); the SQL-expressible core of clean_corpus — the
     near-dup stage on top is approximate (pytest-covered)."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.corpus import clean_corpus_exact
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return clean_corpus_exact(docs)
 
 
 def _q_docs_sample(sf_dir: str):
     """Deterministic hash-threshold sampling (reproducible subset carve)."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.corpus import deterministic_sample
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "lang"])
     return deterministic_sample(docs, 0.25)
 
 
@@ -4247,11 +4083,9 @@ def _q_docs_stratified(sf_dir: str):
     """Per-stratum deterministic sampling — training-mix assembly: keep
     100% of 'de', 50% of 'fr', 12.5% of 'en', 0% of everything else.
     Oracle: the same per-stratum md5-threshold rule in SQL."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.corpus import stratified_sample
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "lang"])
     return stratified_sample(docs, {"de": 1.0, "fr": 0.5, "en": 0.125})
 
 
@@ -4260,11 +4094,9 @@ def _q_docs_temperature(sf_dir: str):
     computed from a vocabulary-sized count groupby, applied as the
     shuffle-free md5-threshold filter. The data-mixing op of multilingual
     corpus assembly."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.corpus import temperature_sample
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "lang"])
     return temperature_sample(docs)
 
 
@@ -4274,11 +4106,9 @@ def _q_docs_hll(sf_dir: str):
     register partials → max-groupby over ≤ 4096 keys). Oracle: the same
     md5-derived hash, bucket split and leading-zero rank in SQL (rank
     via a generated power-of-two CASE ladder — no float log)."""
-    import ray.data as rd
-
     from graphiti_ray.stages.sketch import hll_registers
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    docs = _read_documents(sf_dir, columns=["text"])
     return hll_registers(docs, "text")
 
 
@@ -4317,11 +4147,9 @@ def _q_docs_hll_by_lang(sf_dir: str):
     """Grouped HLL: distinct-text cardinality PER LANGUAGE as a mergeable
     register table — the per-domain/per-language corpus-stats shape
     (partials collapse to ≤ |groups|·4096 rows before the reduce)."""
-    import ray.data as rd
-
     from graphiti_ray.stages.sketch import hll_registers_by
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text", "lang"])
+    docs = _read_documents(sf_dir, columns=["text", "lang"])
     return hll_registers_by(docs, "text", "lang")
 
 
@@ -4334,11 +4162,9 @@ def _q_tokens_cms(sf_dir: str):
 
     import pyarrow as pa
 
-    import ray.data as rd
-
     from graphiti_ray.stages.sketch import cms_registers
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    docs = _read_documents(sf_dir, columns=["text"])
     ws = _re.compile(r"\s+", _re.ASCII)  # RE2-compatible split, oracle twin
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -4378,11 +4204,9 @@ def _q_docs_bloom(sf_dir: str):
     """Bloom-filter bit table over document texts (4 md5-derived bits per
     value in a 32768-bit filter) — streaming membership state for
     later probes. Oracle: the identical bit arithmetic in SQL."""
-    import ray.data as rd
-
     from graphiti_ray.stages.sketch import bloom_bits
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    docs = _read_documents(sf_dir, columns=["text"])
     return bloom_bits(docs, "text")
 
 
@@ -4404,13 +4228,9 @@ def _q_lang_doc_stats_salted(sf_dir: str):
     (ops.salted_aggregate — the hub-key skew treatment): rows spread over
     (lang, salt) reducers first, partials recombine on lang. One oracle,
     two shuffle strategies — the salted path must be value-identical."""
-    import ray.data as rd
-
     from graphiti_ray.stages.ops import salted_aggregate
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "lang", "n_chars"])
     return salted_aggregate(
         docs,
         ["lang"],
@@ -5274,13 +5094,9 @@ def _q_docs_dedup_lines(sf_dir: str):
     first occurrence of every non-empty line, rewrite documents. One
     head_k_per_key sort + one reconstruction sort; the oracle is the
     row_number()=1 window over md5(line)."""
-    import ray.data as rd
-
     from graphiti_ray.stages.dedup import dedup_lines_corpus
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return dedup_lines_corpus(docs)
 
 
@@ -5418,13 +5234,9 @@ def _q_docs_readability(sf_dir: str):
     pass; the grade rides the exact integer lattice fk_micro =
     (1e6·(39·W² + 1180·Syl·S − 1559·S·W)) // (100·S·W), so no float
     leaves either engine."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import readability_fk
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return readability_fk(docs)
 
 
@@ -5493,13 +5305,9 @@ def _q_docs_bpe_train(sf_dir: str):
     merge via str.replace on '|'-delimited symbol strings — Python and
     DuckDB replace() share non-overlapping left-to-right semantics, so
     the 10-round unrolled SQL twin is identical by construction."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import bpe_train
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return bpe_train(docs, n_merges=10)
 
 
@@ -5766,13 +5574,9 @@ def _q_docs_llr(sf_dir: str):
     rare-pair-robust sibling of docs_pmi, same combiner → type-table →
     marginal-join shape, score on the int 1e-6 lattice with a
     bit-identical xlogx chain in the SQL twin."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import llr_collocations
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return llr_collocations(docs, top_k=50, min_count=5)
 
 
@@ -5794,13 +5598,9 @@ def _q_docs_skipgrams(sf_dir: str):
     context) co-occurrences within ±2 token positions — vectorized window
     explode + in-block combiner + one type-table groupby; the oracle is a
     positional self-join gated on |Δpos| ≤ 2."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import skipgram_pairs
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return skipgram_pairs(docs, window=2, top_k=200)
 
 
@@ -6054,11 +5854,10 @@ def _q_docs_bm25(sf_dir: str):
     import pyarrow as pa
 
     import ray
-    import ray.data as rd
 
     from graphiti_ray.pipelines.search import build_bm25_index, _tokens
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     idx = build_bm25_index(docs, "text")
     q = _tokens("spark stream window merge")
     # broadcast only the query-scoped stats, never the vocabulary
@@ -6337,13 +6136,9 @@ def _q_docs_lucene(sf_dir: str):
     composition in SQL."""
     import pyarrow as pa
 
-    import ray.data as rd
-
     from graphiti_ray.functions.text import fulltext_query, lucene_sanitize
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"]
-    )
+    docs = _read_documents(sf_dir, columns=["doc_id", "text", "source"])
 
     def sanitize(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -6373,11 +6168,9 @@ def _q_docs_fingerprint(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import WINNOW_K, WINNOW_W, fingerprints
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     # docs with fewer than WINNOW_W shingle hashes take the engine's
     # single-[min] fallback, which the SQL sliding-window twin cannot
     # express — the guard (chars ≥ k+w-1 ⇒ hashes ≥ w) keeps the check
@@ -6513,11 +6306,9 @@ def _q_docs_dup_spans(sf_dir: str):
     O(num_blocks) boundary exchange, no groupby+join-back (hub grams cost
     one integer of carry per block boundary). Oracle: the same Horner
     shingle hashes, df via GROUP BY, probe join back."""
-    import ray.data as rd
-
     from graphiti_ray.stages.dedup import duplicated_ngram_stats
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return duplicated_ngram_stats(docs)
 
 
@@ -6565,11 +6356,9 @@ def _q_docs_dedup_spans(sf_dir: str):
     occurring at >=2 positions corpus-wide are cut. Gram df via
     annotate_run_lengths, per-doc start lists via sorted_run_map, one
     LEFT hash join back, vectorized difference-array mask per doc."""
-    import ray.data as rd
-
     from graphiti_ray.stages.dedup import remove_duplicated_spans
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return remove_duplicated_spans(docs)
 
 
@@ -6630,11 +6419,9 @@ def _q_docs_cdc(sf_dir: str):
     after every position whose rolling 16-byte Horner hash is 0 mod 64.
     Embarrassingly parallel — one map_batches pass, zero shuffle; chunk
     digests via the vectorized Arrow md5 the exact-dedup path uses."""
-    import ray.data as rd
-
     from graphiti_ray.stages.dedup import cdc_chunks
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return cdc_chunks(docs)
 
 
@@ -6691,11 +6478,9 @@ def _q_docs_novelty(sf_dir: str):
     distinct char-32-grams FIRST SEEN in that doc (lowest doc_id wins).
     One range sort — sorted_run_map over (h, doc_id) runs flags the first
     carrier, no groupby(h).min + join-back."""
-    import ray.data as rd
-
     from graphiti_ray.stages.dedup import gram_novelty
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return gram_novelty(docs)
 
 
@@ -6739,11 +6524,9 @@ def _q_docs_tfidf(sf_dir: str):
     vocabulary broadcast, no driver dict), per-doc top-k via
     sorted_run_map. Scores rounded to 1e-6 before ranking on BOTH sides so
     ordering never hinges on libm ulp agreement."""
-    import ray.data as rd
-
     from graphiti_ray.stages.textstats import tfidf_keywords
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return tfidf_keywords(docs)
 
 
@@ -6778,11 +6561,9 @@ def _q_docs_pack(sf_dir: str):
     doc-granular contiguous quota fill (pack_id = exclusive-prefix-tokens
     // budget) — the shuffle-free equivalent of greedy first-fit, built on
     ops.sorted_prefix_sum (one sort + one integer of carry per boundary)."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.corpus import pack_sequences
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return pack_sequences(docs)
 
 
@@ -6812,11 +6593,9 @@ def _q_docs_corr(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    import ray.data as rd
-
     from graphiti_ray.stages.ops import corr_census
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    docs = _read_documents(sf_dir, columns=["text"])
 
     def lens(t: pa.Table) -> pa.Table:
         import pandas as pd
@@ -6866,13 +6645,9 @@ def _q_docs_ks_drift(sf_dir: str):
     """Two-sample KS drift between src0's and src1's doc-length
     distributions on the exact integer cross lattice — the
     distribution-shift QA gate."""
-    import ray.data as rd
-
     from graphiti_ray.stages.ops import ks_drift
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["n_chars", "source"]
-    )
+    docs = _read_documents(sf_dir, columns=["n_chars", "source"])
     return ks_drift(docs, "n_chars", "source", "src0", "src1")
 
 
@@ -7014,11 +6789,9 @@ def _q_dedup_ppjoin(sf_dir: str):
     """Exact n-gram Jaccard pairs via PPJoin prefix filtering (Xiao 2008)
     — a provably-complete second algorithm value-pinned to the SAME SQL
     twin as the bottom-k blocking (dedup_ngram)."""
-    import ray.data as rd
-
     from graphiti_ray.stages.dedup import ngram_jaccard_ppjoin
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return ngram_jaccard_ppjoin(docs, threshold=0.8)
 
 
@@ -7026,13 +6799,9 @@ def _q_docs_source_epochs(sf_dir: str):
     """LLaMA-style mixture epoch planning: per-source token census, sqrt
     weights, budget split and implied epochs — all on the integer ppm/1e6
     lattice so SQL replays every division."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.corpus import source_epochs
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["text", "source"]
-    )
+    docs = _read_documents(sf_dir, columns=["text", "source"])
     return source_epochs(docs)
 
 
@@ -7059,11 +6828,9 @@ def _q_docs_ccnet_buckets(sf_dir: str):
     trained bigram-LM score per doc, then NTILE(3) over the exact integer
     avg-logp lattice — the quality tiers web corpora actually ship in.
     Oracle: the docs_lm_score CTE + NTILE window."""
-    import ray.data as rd
-
     from graphiti_ray.pipelines.corpus import ccnet_buckets
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     return ccnet_buckets(docs)
 
 

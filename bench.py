@@ -56,6 +56,7 @@ def _headline(sf_dir: str) -> dict:
     import pyarrow.parquet as pq
 
     from graphiti_ray.pipelines.kg import run_kg
+    from graphiti_ray.sources.pages import default_num_blocks
     from graphiti_ray.state.checkpoint import parquet_row_count, table_dir
 
     replicate = int(os.environ.get("GRAFT_BENCH_REPLICATE", "8"))
@@ -70,18 +71,12 @@ def _headline(sf_dir: str) -> dict:
     out_root = "/tmp/graphiti_ray_bench/kg"
     shutil.rmtree(out_root, ignore_errors=True)
 
+    num_blocks = default_num_blocks(n_docs, cpus)
+
     # noise telemetry: co-tenant CPU steal on this hypervisor swings wall
     # time up to 4x (BASELINE.md noise notes); recording the 1-min loadavg
     # around each run makes the JSON artifact self-adjudicating — a slow
     # sample with high recorded load is machine noise, not a regression
-    # block count must scale with the replicated corpus, not just the cpu
-    # count: replicate_documents multiplies rows INSIDE each block, so a
-    # fixed 2×cpus block count at replicate=640 means 100k-doc (~30 MB
-    # text) blocks — giant sort runs and object-store spill. ~25k docs per
-    # block keeps block size constant as replicate grows (the 100-TB rule:
-    # pick a block SIZE target and derive the count).
-    num_blocks = max(16, 2 * cpus, n_docs // 25_000)
-
     timings: dict[str, float] = {}
     load_before = os.getloadavg()[0]
     jiffies0 = _machine_busy_jiffies()

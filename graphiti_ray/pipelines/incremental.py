@@ -19,6 +19,18 @@ relative to the graph, so an update costs O(affected groups), not O(graph).
 Late/out-of-order data is handled for free: the sweep re-sorts by event
 time, so a late contradicting page retro-invalidates exactly as the
 reference's interval kernel would (FIXTURES.md F3 "out-of-order arrival").
+
+Table I/O has two tiers, chosen per table by ``checkpoint.fits_in_process``
+(the ``ops.SMALL_SORT_ROWS`` / ``ops.SMALL_SORT_BYTES`` rule the facade's
+search uses): a table whose parquet footers are within both bounds is read
+with pyarrow in this process and split into untouched and affected groups'
+rows by one ``pc.is_in`` on ``group_id`` (``_split``); the rewritten table
+is the kept rows plus the fetched new part, written by pyarrow as one file
+(``_swap``), and an increment within the bounds is appended as one file.
+A larger table keeps the Dataset path: lazy ``_filter_in`` scans, a union,
+and Ray's parquet writers. The kernels are the same on both tiers: each is
+called through this module's globals on a Dataset of the affected groups'
+rows (``rd.from_arrow`` on the in-process tier) and returns a Dataset.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from __future__ import annotations
 from datetime import datetime
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data as rd
 
@@ -46,8 +59,11 @@ from graphiti_ray.stages.temporal import (
 )
 from graphiti_ray.state.checkpoint import (
     append_table,
+    fits_in_process,
     read_table,
+    read_table_arrow,
     replace_table,
+    table_fits_in_process,
 )
 
 
@@ -59,14 +75,61 @@ def _filter_in(ds: rd.Dataset, col: str, values: frozenset, keep: bool) -> rd.Da
     ref = ray.put(pa.array(sorted(values), pa.string()))
 
     def f(batch: pa.Table, _ref=ref) -> pa.Table:
-        import pyarrow.compute as pc
-
         from graphiti_ray.stages.link import _cached_lut
 
         mask = pc.is_in(batch.column(col), value_set=_cached_lut(_ref))
         return batch.filter(mask if keep else pc.invert(mask))
 
     return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _fetch(ds: rd.Dataset) -> pa.Table:
+    """``ds`` as one ``pa.Table`` in this process: its blocks, fetched once
+    (Arrow blocks without a copy), concatenated."""
+    import ray
+
+    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
+    if not tables:
+        return ds.schema().base_schema.empty_table()
+    return pa.concat_tables(tables, promote_options="default")
+
+
+def _increment(ds: rd.Dataset) -> rd.Dataset | pa.Table:
+    """A materialized increment to append: fetched as a ``pa.Table`` when
+    it is within the in-process bounds, else the Dataset itself."""
+    return _fetch(ds) if fits_in_process(ds.count(), ds.size_bytes() or 0) else ds
+
+
+def _split(out_root: str, name: str, affected: frozenset, columns=None) -> tuple:
+    """(untouched groups' rows, affected groups' rows) of table ``name``:
+    two ``pa.Table``s split in this process by one ``pc.is_in`` on
+    ``group_id`` when the table's footers put it within the in-process
+    bounds, else two lazy Dataset filters of one scan."""
+    if table_fits_in_process(out_root, name):
+        t = read_table_arrow(out_root, name, columns)
+        mask = pc.is_in(t["group_id"], value_set=pa.array(sorted(affected), pa.string()))
+        return t.filter(pc.invert(mask)), t.filter(mask)
+    ds = read_table(out_root, name, columns)
+    return (
+        _filter_in(ds, "group_id", affected, keep=False),
+        _filter_in(ds, "group_id", affected, keep=True),
+    )
+
+
+def _dataset(rows: rd.Dataset | pa.Table) -> rd.Dataset:
+    """``rows`` as a kernel's input."""
+    return rd.from_arrow(rows) if isinstance(rows, pa.Table) else rows
+
+
+def _swap(out_root: str, name: str, keep, new: rd.Dataset) -> None:
+    """Replace table ``name`` with ``keep`` ∪ ``new``. When ``keep`` is a
+    ``pa.Table`` (``_split``'s in-process tier), ``new`` is fetched once
+    and the union is written by pyarrow as one file."""
+    if isinstance(keep, pa.Table):
+        rows = pa.concat_tables([keep, _fetch(new)], promote_options="default")
+        replace_table(out_root, name, rows)
+    else:
+        replace_table(out_root, name, keep.union(new))
 
 
 def _check_embeddings(out_root: str, embeddings: bool) -> None:
@@ -104,10 +167,15 @@ def add_pages(
     Raises ``ValueError`` when ``embeddings`` disagrees with the stored
     edges table (``fact_embedding`` present or not): appending would
     leave a table of mixed schemas that later searches cannot read."""
+    import ray
+
     _check_embeddings(out_root, embeddings)
     new_eps = episodes_dataset(new_pages, run_ts=run_ts).materialize()
     affected = frozenset(
-        r["group_id"] for r in new_eps.select_columns(["group_id"]).take_all()
+        g
+        for t in ray.get(new_eps.to_arrow_refs())
+        if t.num_rows
+        for g in pc.unique(t["group_id"]).to_pylist()
     )
     from graphiti_ray.state.checkpoint import checkpointed_write, is_complete
 
@@ -124,33 +192,33 @@ def add_pages(
             "affected_groups": sorted(affected),
         }
     # uuid-level upsert: drop episodes already present (affected groups only
-    # are scanned — the existing-uuid set is increment-sized, not graph-sized)
-    existing = frozenset(
-        r["uuid"]
-        for r in _filter_in(
-            read_table(out_root, "episodes"), "group_id", affected, keep=True
+    # are compared — the existing-uuid set is increment-sized, not graph-sized)
+    inc = _increment(new_eps)
+    _, old = _split(out_root, "episodes", affected, ["group_id", "uuid"])
+    if isinstance(inc, pa.Table) and isinstance(old, pa.Table):
+        inc = inc.filter(pc.invert(pc.is_in(inc["uuid"], value_set=old["uuid"])))
+        new_eps = rd.from_arrow(inc)
+    else:
+        existing = frozenset(
+            r["uuid"] for r in _dataset(old).select_columns(["uuid"]).take_all()
         )
-        .select_columns(["uuid"])
-        .take_all()
-    )
-    if existing:
-        new_eps = _filter_in(new_eps, "uuid", existing, keep=False).materialize()
+        if existing:
+            new_eps = inc = _filter_in(
+                new_eps, "uuid", existing, keep=False
+            ).materialize()
     if new_eps.count() == 0:
         return {"episodes_added": 0, "affected_groups": sorted(affected)}
     new_extracted = extracted_dataset(new_eps).materialize()
 
-    n_eps = append_table(out_root, "episodes", new_eps, note="add_pages")
-    append_table(out_root, "extracted", new_extracted, note="add_pages")
+    n_eps = append_table(out_root, "episodes", inc, note="add_pages")
+    append_table(out_root, "extracted", _increment(new_extracted), note="add_pages")
 
     # full extracted rows for the affected groups (old + just-appended)
-    extracted_aff = _filter_in(
-        read_table(out_root, "extracted"), "group_id", affected, keep=True
-    ).materialize()
-    mentions_aff, triples_aff = split_extracted(extracted_aff)
+    _, extracted_aff = _split(out_root, "extracted", affected)
+    mentions_aff, triples_aff = split_extracted(_dataset(extracted_aff).materialize())
 
     # canonical map: untouched groups verbatim + fresh resolution for touched
-    canon_old = read_table(out_root, "canonical_map")
-    canon_keep = _filter_in(canon_old, "group_id", affected, keep=False)
+    canon_keep, _ = _split(out_root, "canonical_map", affected)
     # arrow-normalize: map_groups emits pandas blocks, and a later sort over
     # a mixed arrow+pandas union trips ray's block-type assertion
     canon_new = (
@@ -158,74 +226,49 @@ def add_pages(
         .map_batches(lambda t: t, batch_format="pyarrow")
         .materialize()
     )
-    canon = canon_keep.union(canon_new).materialize()
-    replace_table(out_root, "canonical_map", canon)
+    _swap(out_root, "canonical_map", canon_keep, canon_new)
 
     # nodes: untouched groups verbatim (their summaries and attributes
     # too), fresh rows for the affected groups only
-    n_keep = _filter_in(read_table(out_root, "nodes"), "group_id", affected, keep=False)
+    n_keep, _ = _split(out_root, "nodes", affected)
     n_new = nodes_from_canonical(canon_new)
     if embeddings:
         n_new = with_embedding(n_new, "name", "name_embedding")
-    replace_table(out_root, "nodes", n_keep.union(n_new))
+    _swap(out_root, "nodes", n_keep, n_new)
 
     lut = canon_lookup_ref(canon_new)
 
-    m_keep = _filter_in(
-        read_table(out_root, "mention_edges"), "group_id", affected, keep=False
-    )
-    m_new = mention_edges_broadcast(mentions_aff, lut)
-    replace_table(out_root, "mention_edges", m_keep.union(m_new))
+    m_keep, _ = _split(out_root, "mention_edges", affected)
+    _swap(out_root, "mention_edges", m_keep, mention_edges_broadcast(mentions_aff, lut))
 
-    e_keep = _filter_in(
-        read_table(out_root, "edges"), "group_id", affected, keep=False
-    )
+    e_keep, _ = _split(out_root, "edges", affected)
     resolved = apply_canonical_broadcast(triples_aff, lut)
     e_new = invalidation_sweep_scalable(merged_edges(resolved, run_ts), run_ts)
     if embeddings:
         e_new = with_embedding(e_new, "fact", "fact_embedding")
-    e_new = episodes_to_list(e_new)
-    replace_table(out_root, "edges", e_keep.union(e_new))
+    _swap(out_root, "edges", e_keep, episodes_to_list(e_new))
 
     # incremental communities (graphiti.py:464-471 updates communities per
     # new entity): when the KG keeps community tables, recompute them for
     # the affected groups from the refreshed nodes/edges and swap, keeping
     # untouched groups verbatim (label propagation is group-scoped — edges
     # never cross group_id).
-    from graphiti_ray.state.checkpoint import is_complete
-
     if is_complete(out_root, "communities"):
         from graphiti_ray.stages.graph import build_communities
 
-        comm_new = build_communities(
-            _filter_in(read_table(out_root, "nodes"), "group_id", affected, keep=True),
-            _filter_in(read_table(out_root, "edges"), "group_id", affected, keep=True),
-        )
-        c_keep = _filter_in(
-            read_table(out_root, "communities"), "group_id", affected, keep=False
-        )
-        replace_table(
-            out_root,
-            "communities",
-            c_keep.union(
-                comm_new["communities"].map_batches(lambda t: t, batch_format="pyarrow")
-            ),
-        )
+        _, nodes_aff = _split(out_root, "nodes", affected)
+        _, edges_aff = _split(out_root, "edges", affected)
+        comm_new = build_communities(_dataset(nodes_aff), _dataset(edges_aff))
+        names = ["communities"]
         if is_complete(out_root, "community_edges"):
-            ce_keep = _filter_in(
-                read_table(out_root, "community_edges"),
-                "group_id",
-                affected,
-                keep=False,
-            )
-            replace_table(
+            names.append("community_edges")
+        for name in names:
+            keep, _ = _split(out_root, name, affected)
+            _swap(
                 out_root,
-                "community_edges",
-                ce_keep.union(
-                    comm_new["community_edges"].map_batches(
-                        lambda t: t, batch_format="pyarrow"
-                    )
-                ),
+                name,
+                keep,
+                comm_new[name].map_batches(lambda t: t, batch_format="pyarrow"),
             )
 
     return {

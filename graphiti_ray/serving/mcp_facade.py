@@ -173,23 +173,22 @@ class GraphitiFacade:
     def _search_tables(self, name: str) -> dict:
         """The table ``name`` to search, if complete: a ``pa.Table`` read in
         this process when its footers put it within ``ops.SMALL_SORT_ROWS``
-        rows and ``ops.SMALL_SORT_BYTES`` uncompressed parquet bytes (the
-        bounds ``ops`` puts on a sort in the calling process, there on
-        Arrow bytes; see ``table_footprint`` for how the two compare),
-        else the lazy Dataset of ``_tables``. Each search reads its own
+        rows and ``ops.SMALL_SORT_BYTES`` uncompressed parquet bytes
+        (``checkpoint.table_fits_in_process``; the bounds ``ops`` puts on a
+        sort in the calling process, there on Arrow bytes; see
+        ``table_footprint`` for how the two compare), else the lazy
+        Dataset of ``_tables``. Each search reads its own
         copy, so a threaded server holds up to (searches in flight) such
         tables."""
-        from graphiti_ray.stages import ops
         from graphiti_ray.state.checkpoint import (
             is_complete,
             read_table_arrow,
-            table_footprint,
+            table_fits_in_process,
         )
 
         if not is_complete(self.out_root, name):
             return {}
-        rows, size = table_footprint(self.out_root, name)
-        if rows <= ops.SMALL_SORT_ROWS and size <= ops.SMALL_SORT_BYTES:
+        if table_fits_in_process(self.out_root, name):
             return {name: read_table_arrow(self.out_root, name)}
         return self._tables([name])
 

@@ -179,6 +179,16 @@ def read_documents(
     )
 
 
+def default_num_blocks(n_docs: int, cpus: int) -> int:
+    """Block count of a build over ``n_docs`` documents on ``cpus`` cpus.
+    ``replicate_documents`` multiplies rows inside each block, so a count
+    fixed at 2×cpus would give 100k-doc blocks at replicate=640: giant sort
+    runs and object-store spill. About 25k docs per block keeps the block
+    size constant as the corpus grows, and there are never fewer than two
+    blocks per cpu."""
+    return max(16, 2 * cpus, n_docs // 25_000)
+
+
 def replicate_documents(docs: rd.Dataset, factor: int) -> rd.Dataset:
     """Deterministic ×factor corpus scale-up for benchmarking: replica r of
     doc d gets doc_id d + r·100_000 — the pg1 arithmetic then derives

@@ -26,6 +26,7 @@ import shutil
 import time
 from typing import Any
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray.data as rd
@@ -50,14 +51,27 @@ def parquet_row_count(path: str) -> int:
     return total
 
 
+def _write_parquet(rows: rd.Dataset | pa.Table, out: str, **kwargs) -> None:
+    """Write ``rows`` into the directory ``out``: a ``pa.Table`` as one
+    file written by pyarrow in this process, a Dataset by Ray's writers."""
+    if isinstance(rows, pa.Table):
+        if kwargs:
+            raise ValueError(f"{sorted(kwargs)} need a Dataset, not a pa.Table")
+        os.makedirs(out, exist_ok=True)
+        pq.write_table(rows, os.path.join(out, "part-0.parquet"))
+    else:
+        rows.write_parquet(out, **kwargs)
+
+
 def checkpointed_write(
-    ds: rd.Dataset,
+    ds: rd.Dataset | pa.Table,
     root: str,
     name: str,
     lineage: dict[str, Any] | None = None,
     partition_cols: list[str] | None = None,
 ) -> dict[str, Any]:
-    """Write one logical table; skip if already complete. Returns metrics."""
+    """Write one logical table; skip if already complete. Returns metrics.
+    A ``pa.Table`` (no ``partition_cols``) is written as one file."""
     out = table_dir(root, name)
     if is_complete(root, name):
         return {"table": name, "skipped": True, "rows": parquet_row_count(out)}
@@ -68,14 +82,11 @@ def checkpointed_write(
 
     t0 = time.perf_counter()
     kwargs = {"partition_cols": partition_cols} if partition_cols else {}
-    ds.write_parquet(out, **kwargs)
+    _write_parquet(ds, out, **kwargs)
     # an EMPTY dataset writes no files at all; persist one zero-row shard
     # so the table stays schema'd and readable (a cascade delete can
     # legitimately empty a table)
     if not any(f.endswith(".parquet") for f in os.listdir(out)):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
         sch = ds.schema()
         base = getattr(sch, "base_schema", None) if sch is not None else None
         pq.write_table(
@@ -224,16 +235,19 @@ def checkpointed_write_partitioned(
     return {"table": name, "skipped": False, "rows": total, "partitions": parts}
 
 
-def append_table(root: str, name: str, ds: rd.Dataset, note: str = "") -> int:
+def append_table(
+    root: str, name: str, ds: rd.Dataset | pa.Table, note: str = ""
+) -> int:
     """Append rows to an existing completed table: new part files land under
     a unique subprefix (no collision with prior parts), the manifest gains
     an update record, and _SUCCESS is re-stamped last. Returns rows added.
+    A ``pa.Table`` is appended as one file.
     """
     out = table_dir(root, name)
     assert is_complete(root, name), f"append target {name} not complete"
     tmp = out + ".append_tmp"
     shutil.rmtree(tmp, ignore_errors=True)
-    ds.write_parquet(tmp)
+    _write_parquet(ds, tmp)
     marker = os.path.join(out, SUCCESS)
     os.remove(marker)  # table incomplete while we move files in
     added = 0
@@ -259,9 +273,10 @@ def append_table(root: str, name: str, ds: rd.Dataset, note: str = "") -> int:
 
 
 def replace_table(
-    root: str, name: str, ds: rd.Dataset, lineage: dict | None = None
+    root: str, name: str, ds: rd.Dataset | pa.Table, lineage: dict | None = None
 ) -> dict:
-    """Atomically replace a table: build in a temp dir, swap directories."""
+    """Atomically replace a table: build in a temp dir, swap directories.
+    A ``pa.Table`` is written as one file."""
     out = table_dir(root, name)
     tmp = out + ".replace_tmp"
     shutil.rmtree(tmp, ignore_errors=True)
@@ -306,6 +321,21 @@ def read_table(root: str, name: str, columns: list[str] | None = None) -> rd.Dat
     return rd.read_parquet(table_files(root, name), columns=columns)
 
 
+def fits_in_process(rows: int, size: int) -> bool:
+    """Whether ``rows`` rows of ``size`` bytes may be held and handled in
+    the calling process: within ``ops.SMALL_SORT_ROWS`` and
+    ``ops.SMALL_SORT_BYTES``, the bounds ``ops`` puts on a sort there."""
+    from graphiti_ray.stages import ops
+
+    return rows <= ops.SMALL_SORT_ROWS and size <= ops.SMALL_SORT_BYTES
+
+
+def table_fits_in_process(root: str, name: str) -> bool:
+    """``fits_in_process`` for a checkpointed table, by its parquet footers
+    (``table_footprint``)."""
+    return fits_in_process(*table_footprint(root, name))
+
+
 def table_footprint(root: str, name: str) -> tuple[int, int]:
     """``(rows, uncompressed bytes)`` of a table, summed from its parquet
     footers alone (no column data is read). The bytes are the column
@@ -323,10 +353,8 @@ def table_footprint(root: str, name: str) -> tuple[int, int]:
 def read_table_arrow(root: str, name: str, columns: list[str] | None = None):
     """In-process ``pa.Table`` read for SMALL checkpointed tables: plain
     pyarrow, no Ray execution. Never call on a corpus-sized table (check
-    ``table_footprint`` first). Same files, in the same order, as
+    ``table_fits_in_process`` first). Same files, in the same order, as
     ``read_table``."""
-    import pyarrow as pa
-
     tables = [pq.read_table(f, columns=columns) for f in table_files(root, name)]
     return pa.concat_tables(tables, promote_options="default")
 

@@ -15,8 +15,30 @@ from tests.test_pipeline_e2e import _pages_table
 T = [datetime(2024, 1, d + 1) for d in range(10)]
 
 
+def _force_dataset_tier(monkeypatch):
+    """Every in-process bound at 0: each table takes the Dataset tier."""
+    from graphiti_ray.stages import ops
+
+    monkeypatch.setattr(ops, "SMALL_SORT_ROWS", 0)
+    monkeypatch.setattr(ops, "SMALL_SORT_BYTES", 0)
+
+
 @pytest.fixture()
-def kg_root(ray_session, tmp_path):
+def tier(request, monkeypatch):
+    """The table tier ``add_pages`` runs on: "in_process" by default (the
+    fixture graphs are within the bounds), or "dataset" when a test
+    parametrizes it so."""
+    name = getattr(request, "param", "in_process")
+    if name == "dataset":
+        _force_dataset_tier(monkeypatch)
+    return name
+
+
+BOTH_TIERS = pytest.mark.parametrize("tier", ["in_process", "dataset"], indirect=True)
+
+
+@pytest.fixture()
+def kg_root(ray_session, tier, tmp_path):
     """Initial KG: g1 has a LIKES fact; g2 is an unrelated group."""
     root = str(tmp_path / "kg")
     import graphiti_ray.pipelines.kg as kgmod
@@ -246,3 +268,139 @@ def test_add_pages_keeps_untouched_groups_nodes(ray_session, tmp_path):
         group_rows(fresh, "g1.example.com"),
         check_dtype=False,
     )
+
+
+def _build(root, rows, **kw):
+    """run_kg over the pages ``rows`` (see ``_pages_table``) into ``root``."""
+    from graphiti_ray.stages.extract import episodes_dataset
+    from graphiti_ray.state.checkpoint import checkpointed_write
+
+    pages = rd.from_arrow(_pages_table(rows))
+    checkpointed_write(episodes_dataset(pages), root, "episodes", {})
+    run_kg("unused", root, **kw)
+
+
+def _table(root, name):
+    """(schema without metadata, rows as sorted hashable tuples): a table
+    compared by key and order-insensitively."""
+    from graphiti_ray.state.checkpoint import read_table_arrow
+
+    def frozen(v):
+        return tuple(frozen(x) for x in v) if isinstance(v, list) else v
+
+    t = read_table_arrow(root, name)
+    rows = [
+        tuple((k, frozen(v)) for k, v in sorted(r.items())) for r in t.to_pylist()
+    ]
+    return t.schema.remove_metadata(), sorted(rows, key=repr)
+
+
+GROUP_TABLES = ["episodes", "extracted", "canonical_map", "nodes", "mention_edges", "edges"]
+
+CYCLES = [
+    [("Alice dislikes Bob Jones.", "g1", T[3])],
+    [("Erin Green works at Hooli Corp.", "g3", T[4])],
+    # a rerun of the first cycle's page (nothing new for g1) beside new g2 and g1 facts
+    [
+        ("Alice dislikes Bob Jones.", "g1", T[3]),
+        ("Carol White likes Dave Brown.", "g2", T[5]),
+        ("Bob Jones works at Initech.", "g1", T[6]),
+    ],
+]
+
+
+@pytest.mark.parametrize("kind", ["node_summaries", "communities"])
+def test_ingest_tiers_agree(ray_session, tmp_path, monkeypatch, kind):
+    """Three ingest cycles leave identical tables on the in-process tier
+    and on the Dataset tier (every in-process bound at 0)."""
+    import shutil
+
+    base = str(tmp_path / "base")
+    _build(
+        base,
+        [
+            ("Alice Smith likes Bob Jones.", "g1", T[0]),
+            ("Dave Brown works at Initech.", "g1", T[1]),
+            ("Carol White works at Globex Inc.", "g2", T[2]),
+        ],
+        **{kind: True},
+    )
+    roots = {t: str(tmp_path / t) for t in ("in_process", "dataset")}
+    for root in roots.values():
+        shutil.copytree(base, root)
+    tables = GROUP_TABLES + (["communities", "community_edges"] if kind == "communities" else [])
+    for k, rows in enumerate(CYCLES):
+        pages = lambda: rd.from_arrow(_pages_table(rows, start=100 * (k + 1)))  # noqa: E731
+        small = add_pages(roots["in_process"], pages())
+        with monkeypatch.context() as m:
+            _force_dataset_tier(m)
+            large = add_pages(roots["dataset"], pages())
+        assert small == large
+    for name in tables:
+        assert _table(roots["in_process"], name) == _table(roots["dataset"], name), name
+
+
+@BOTH_TIERS
+def test_build_then_ingest_equals_rebuild(ray_session, tier, tmp_path):
+    """run_kg over pages A, then add_pages with pages B, leaves every group
+    table equal to run_kg over A and B together."""
+    a = [
+        ("Alice Smith likes Bob Jones.", "g1", T[0]),
+        ("Carol White works at Globex Inc.", "g2", T[1]),
+    ]
+    b = [
+        ("Alice dislikes Bob Jones.", "g1", T[3]),
+        ("A. Smith works at Acme Corp.", "g1", T[4]),
+        ("Erin Green works at Hooli Corp.", "g3", T[5]),
+    ]
+    built = str(tmp_path / "built")
+    _build(built, a)
+    add_pages(built, rd.from_arrow(_pages_table(b, start=len(a))))
+    rebuilt = str(tmp_path / "rebuilt")
+    _build(rebuilt, a + b)
+    for name in GROUP_TABLES:
+        assert _table(built, name) == _table(rebuilt, name), name
+
+
+def _parquet_files(root):
+    """Path → (inode, mtime) of every parquet file under ``root``."""
+    import os
+
+    out = {}
+    for d, _dirs, names in os.walk(root):
+        for n in names:
+            if n.endswith(".parquet"):
+                st = os.stat(os.path.join(d, n))
+                out[os.path.join(d, n)] = (st.st_ino, st.st_mtime_ns)
+    return out
+
+
+def test_small_tier_ingest_cost_is_the_delta(ray_session, tmp_path, monkeypatch):
+    """On the in-process tier an ingest writes one parquet file per table it
+    touches, and starts as many Ray Data executions into a 12-group graph
+    as into a 2-group one."""
+    import os
+
+    from tests.test_mcp_facade import _count_executions
+
+    page = [("Alice dislikes Bob Jones.", "g1", T[3])]
+    counts, written = {}, {}
+    for n_groups in (2, 12):
+        root = str(tmp_path / f"kg{n_groups}")
+        _build(
+            root,
+            [("Alice Smith likes Bob Jones.", "g1", T[0])]
+            + [(f"Carol White works at Globex {k}.", f"g{k}", T[1]) for k in range(2, n_groups + 1)],
+        )
+        before = _parquet_files(root)
+        with monkeypatch.context() as m:
+            calls = _count_executions(m)
+            add_pages(root, rd.from_arrow(_pages_table(page, start=100)))
+        counts[n_groups] = len(calls)
+        written[n_groups] = sorted(
+            os.path.relpath(os.path.dirname(p), root)
+            for p, st in _parquet_files(root).items()
+            if before.get(p) != st
+        )
+    assert counts[2] == counts[12]
+    assert written[2] == written[12] == sorted(GROUP_TABLES)
