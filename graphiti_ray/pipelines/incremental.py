@@ -59,11 +59,12 @@ from graphiti_ray.stages.temporal import (
 )
 from graphiti_ray.state.checkpoint import (
     append_table,
-    fits_in_process,
+    fetch_table,
     read_table,
     read_table_arrow,
     replace_table,
     table_fits_in_process,
+    table_if_fits,
 )
 
 
@@ -81,23 +82,6 @@ def _filter_in(ds: rd.Dataset, col: str, values: frozenset, keep: bool) -> rd.Da
         return batch.filter(mask if keep else pc.invert(mask))
 
     return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _fetch(ds: rd.Dataset) -> pa.Table:
-    """``ds`` as one ``pa.Table`` in this process: its blocks, fetched once
-    (Arrow blocks without a copy), concatenated."""
-    import ray
-
-    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
-    if not tables:
-        return ds.schema().base_schema.empty_table()
-    return pa.concat_tables(tables, promote_options="default")
-
-
-def _increment(ds: rd.Dataset) -> rd.Dataset | pa.Table:
-    """A materialized increment to append: fetched as a ``pa.Table`` when
-    it is within the in-process bounds, else the Dataset itself."""
-    return _fetch(ds) if fits_in_process(ds.count(), ds.size_bytes() or 0) else ds
 
 
 def _split(out_root: str, name: str, affected: frozenset, columns=None) -> tuple:
@@ -126,7 +110,7 @@ def _swap(out_root: str, name: str, keep, new: rd.Dataset) -> None:
     ``pa.Table`` (``_split``'s in-process tier), ``new`` is fetched once
     and the union is written by pyarrow as one file."""
     if isinstance(keep, pa.Table):
-        rows = pa.concat_tables([keep, _fetch(new)], promote_options="default")
+        rows = pa.concat_tables([keep, fetch_table(new)], promote_options="default")
         replace_table(out_root, name, rows)
     else:
         replace_table(out_root, name, keep.union(new))
@@ -193,7 +177,7 @@ def add_pages(
         }
     # uuid-level upsert: drop episodes already present (affected groups only
     # are compared — the existing-uuid set is increment-sized, not graph-sized)
-    inc = _increment(new_eps)
+    inc = table_if_fits(new_eps)
     _, old = _split(out_root, "episodes", affected, ["group_id", "uuid"])
     if isinstance(inc, pa.Table) and isinstance(old, pa.Table):
         inc = inc.filter(pc.invert(pc.is_in(inc["uuid"], value_set=old["uuid"])))
@@ -211,7 +195,7 @@ def add_pages(
     new_extracted = extracted_dataset(new_eps).materialize()
 
     n_eps = append_table(out_root, "episodes", inc, note="add_pages")
-    append_table(out_root, "extracted", _increment(new_extracted), note="add_pages")
+    append_table(out_root, "extracted", table_if_fits(new_extracted), note="add_pages")
 
     # full extracted rows for the affected groups (old + just-appended)
     _, extracted_aff = _split(out_root, "extracted", affected)

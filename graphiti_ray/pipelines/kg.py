@@ -40,6 +40,18 @@ runner the driver passes in:
                 table is written once under <out_root>/<table>/ with
                 MANIFEST.json lineage + _SUCCESS (state/checkpoint.py), so
                 a killed run resumes at the first incomplete table.
+
+``run_kg`` writes each materialized table by one of two rules, whether it
+fits the in-process bounds (``checkpoint.fits_in_process``: rows and
+in-memory bytes, both metadata of the materialized Dataset): a table that
+fits is fetched once as a ``pa.Table`` and written by pyarrow as one
+parquet file; a larger one keeps Ray's parquet writers. Either way the
+next stage gets the materialized Dataset, so nothing is re-read. The
+sort-based kernels the stages call (``canonical_map``,
+``nodes_from_canonical``, ``merged_edges``, the sweep) follow the same
+rule inside ``stages/ops.py``: within the bounds each sorts and runs once
+over one table in the calling process, so a small graph is built one
+Arrow table per stage.
 """
 
 from __future__ import annotations
@@ -259,17 +271,21 @@ def run_kg(
             return checkpoint.read_table(out_root, name)
         t0 = time.perf_counter()
         ds = make().materialize()
-        m = checkpoint.checkpointed_write(ds, out_root, name, lineage)
-        # the stage's wall is compute (materialize) + sink, not just the
-        # parquet flush — bench.py surfaces these per-stage walls
-        m["wall_sec"] = time.perf_counter() - t0
+        # the stage's wall (returned and in the MANIFEST) is compute
+        # (materialize) + sink, not just the parquet flush (``sink_sec``)
+        m = checkpoint.checkpointed_write(
+            checkpoint.table_if_fits(ds), out_root, name, lineage, started=t0
+        )
         metrics.append(m)
         return ds
 
     def replace(name, ds, tag) -> rd.Dataset:
         """Atomically rewrite a made table (idempotent node post-steps)."""
+        t0 = time.perf_counter()
         ds = ds.materialize()
-        checkpoint.replace_table(out_root, name, ds)
+        checkpoint.replace_table(
+            out_root, name, checkpoint.table_if_fits(ds), started=t0
+        )
         metrics.append({"table": name, tag: True})
         return ds
 

@@ -11,6 +11,21 @@
 Assumes rows with equal keys are interchangeable (true when the key is a
 content hash of the row, as with our deterministic uuids); for
 first-by-order semantics sort on (key, order_col).
+
+The sort-based operators (``sorted_run_map``, ``sorted_lead``,
+``sorted_lag_list``, ``sorted_prefix_sum``, ``distinct_by_key``,
+``annotate_run_lengths``) pick where they run by one rule, whether the
+materialized input fits ``SMALL_SORT_ROWS`` rows and ``SMALL_SORT_BYTES``
+bytes (``state.checkpoint.fits_in_process``, the bound search and ingest
+use too):
+
+- it fits: the whole input is fetched and sorted as one ``pa.Table`` in
+  the calling process (``_sorted_table``). ``sorted_run_map`` and
+  ``sorted_lead`` then run their kernel once over that table there; one
+  table has no block boundaries, so no boundary-info, carry or apply task
+  starts, and ``carry_cap`` cannot overflow;
+- it does not: Ray's distributed range sort, then the per-block kernels
+  with their block-boundary exchange.
 """
 
 from __future__ import annotations
@@ -20,56 +35,72 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from graphiti_ray.state.checkpoint import fetch_table, fits_in_process
+
 
 _SORT_BLOCK_BYTES = 32 << 20
 _SORT_BLOCK_ROWS = 65_536
 
-# driver-local sort fast path: below these caps the whole input is one
-# small table (a combiner-collapsed keyset, never a corpus), and Ray's
-# distributed sort would pay 2 extra materialize barriers plus an O(P²)
-# small-object exchange on it — measured ~0.5-1.5 s of pure latency per
-# barrier at 16 cpus, the serial floor of the edges/mention stages. Same
-# bounded-driver-path contract as dedup.SMALL_CC_LIMIT / BROADCAST_LIMIT.
+# in-process bounds: within both, an input is one small table (a
+# combiner-collapsed keyset, never a corpus), and Ray's distributed sort
+# would pay 2 extra materialize barriers plus an O(P²) small-object
+# exchange on it — measured ~0.5-1.5 s of pure latency per barrier at 16
+# cpus, the serial floor of the edges/mention stages. Same bounded-driver-
+# path contract as dedup.SMALL_CC_LIMIT / BROADCAST_LIMIT.
 SMALL_SORT_ROWS = 262_144
 SMALL_SORT_BYTES = 64 << 20
 
 
+def block_refs(ds: rd.Dataset) -> list:
+    """Object refs of a materialized Dataset's blocks, in order."""
+    refs = []
+    for bundle in ds.iter_internal_ref_bundles():
+        refs.extend(bundle.block_refs)
+    return refs
+
+
+def _sorted_table(mat: rd.Dataset, cols: list[str]) -> pa.Table | None:
+    """The whole materialized input as one ``pa.Table`` sorted by ``cols``
+    (``null_placement`` matches Ray's at_end) when it fits the in-process
+    bounds; None when it does not."""
+    if not fits_in_process(mat.count(), mat.size_bytes() or 0):
+        return None
+    tbl = fetch_table(mat)
+    if not tbl.num_rows:
+        return tbl
+    return tbl.combine_chunks().sort_by([(c, "ascending") for c in cols])
+
+
 def _sort_coalesced(ds: rd.Dataset, cols: list[str]) -> rd.Dataset:
-    """Range sort with a size-justified shuffle width.
+    """Range sort, materialized. Two rules:
 
-    Ray's sort inherits its partition count P from the INPUT block count,
-    and the all-to-all pays O(P²) small-object transfers (each of P reduce
-    tasks fetches P map outputs): measured ~11 s for a 380-row sort at
-    P=128 vs ~2 s at P=4 — pure fixed latency, independent of bytes and of
-    CPU count. Combiner-collapsed tables (merged edges, invalidation keys)
-    inherit the corpus's block count, so their sorts were the serial term
-    capping kg_build's scaling efficiency. Three tiers:
-
-    - ≤ SMALL_SORT_ROWS/BYTES: one driver-local pyarrow ``sort_by``
-      (null_placement matches Ray's at_end) — no shuffle, no extra
-      barriers;
-    - small-but-not-tiny: coalesce to the partition count the bytes/rows
-      justify, then distributed sort;
-    - corpus-sized: distributed sort at full width.
+    - the input fits the in-process bounds: one pyarrow ``sort_by`` in
+      this process (``_sorted_table``), handed back as a one-block
+      Dataset — no shuffle, no extra barriers, for any block count;
+    - it does not: Ray's distributed sort. Ray's sort inherits its
+      partition count P from the INPUT block count, and the all-to-all
+      pays O(P²) small-object transfers (each of P reduce tasks fetches P
+      map outputs): measured ~11 s for a 380-row sort at P=128 vs ~2 s at
+      P=4 — pure fixed latency, independent of bytes and of CPU count. So
+      an input of more than 8 blocks is first coalesced to the partition
+      count its bytes/rows justify.
 
     Sort is a pipeline breaker anyway, so materializing the input first
-    adds no extra pass."""
+    adds no extra pass. An empty input comes back as it is."""
     mat = ds.materialize()
+    tbl = _sorted_table(mat, cols)
+    if tbl is None:
+        return _range_sort(mat, cols)
+    return rd.from_arrow(tbl).materialize() if tbl.num_rows else mat
+
+
+def _range_sort(mat: rd.Dataset, cols: list[str]) -> rd.Dataset:
+    """Ray's distributed sort of a materialized input too large for the
+    in-process tier, at a size-justified shuffle width."""
     nblocks = mat.num_blocks()
     if nblocks > 8:
         rows = mat.count()
         size = mat.size_bytes() or 0
-        if rows <= SMALL_SORT_ROWS and size <= SMALL_SORT_BYTES:
-            refs = []
-            for bundle in mat.iter_internal_ref_bundles():
-                refs.extend(bundle.block_refs)
-            tables = [_as_arrow(b) for b in ray.get(refs)]
-            tables = [t for t in tables if t.num_rows] or tables[:1]
-            tbl = pa.concat_tables(tables, promote_options="default")
-            tbl = tbl.combine_chunks().sort_by(
-                [(c, "ascending") for c in cols]
-            )
-            return rd.from_arrow(tbl).materialize()
         target = min(
             nblocks,
             max(1, size // _SORT_BLOCK_BYTES, rows // _SORT_BLOCK_ROWS),
@@ -182,8 +213,7 @@ def _rows_equal_at(block: pa.Table, cols: list[str], ia, ib) -> "np.ndarray":  #
     return eq
 
 
-@ray.remote
-def _lead_block(
+def _lead(
     block,
     part_cols: list[str],
     value_col: str,
@@ -236,6 +266,12 @@ def _lead_block(
     return block.append_column(out_col, lead)
 
 
+@ray.remote
+def _lead_block(block, *args) -> pa.Table:
+    """``_lead`` over one block of the distributed path."""
+    return _lead(block, *args)
+
+
 def _resolve_boundary_lead(i: int, infos: list) -> object:
     """Next strictly-greater value for block i's trailing run, found by
     scanning later blocks' run summaries (handles runs spanning any number
@@ -280,14 +316,15 @@ def sorted_lead(
     any number of block boundaries is handled (no uniqueness precondition
     on (part, value)). Precondition: ``value_col`` must be ordered by the
     sort (i.e. aligned with ``order_cols``) so values are non-decreasing
-    within a partition."""
+    within a partition. An input within the in-process bounds is sorted
+    and led as one table in the calling process (module docstring)."""
     # arrow-normalize first: from_pandas/map_groups lineages carry pandas
     # blocks, and the remote block fns operate on arrow tables
-    ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
-    mat = _sort_coalesced(ds, part_cols + order_cols)
-    refs = []
-    for bundle in mat.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
+    mat = ds.map_batches(lambda t: t, batch_format="pyarrow").materialize()
+    tbl = _sorted_table(mat, part_cols + order_cols)
+    if tbl is not None:
+        return rd.from_arrow(_lead(tbl, part_cols, value_col, out_col, out_type, None))
+    refs = block_refs(_range_sort(mat, part_cols + order_cols))
     if not refs:
         return mat
     infos = ray.get([_block_run_info.remote(r, part_cols, value_col) for r in refs])
@@ -384,9 +421,7 @@ def sorted_lag_list(
     immediate predecessor's tail, which already accumulated the carry."""
     ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
     mat = _sort_coalesced(ds, part_cols + order_cols)
-    refs = []
-    for bundle in mat.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
+    refs = block_refs(mat)
     if not refs:
         return mat
     tails = ray.get([_block_tail.remote(r, part_cols, value_col, k) for r in refs])
@@ -445,24 +480,25 @@ def _leading_rows(block, key_cols: list[str], cap: int) -> pa.Table:
     return block.slice(0, min(run_len, cap))
 
 
-@ray.remote
-def _apply_run_block(
-    block, fn, drop_leading: int, carries: list
-) -> pa.Table:
+def _apply_run(block, fn, drop_leading: int, carries: list) -> pa.Table:
     """Strip the leading ``drop_leading`` rows (they belong to the previous
-    block's trailing run), append carried continuation rows, run ``fn``.
-    ``carries`` holds nested ObjectRefs (inside a list, Ray does not
-    auto-resolve them) — fetched explicitly."""
+    block's trailing run), append the carried continuation rows, run
+    ``fn``."""
     block = _as_arrow(block)
     if drop_leading:
         block = block.slice(drop_leading)
-    if carries:
-        carries = ray.get(list(carries))
-        tables = [block] + [_as_arrow(c) for c in carries]
-        block = pa.concat_tables([t for t in tables if t.num_rows], promote_options="none") if any(
-            t.num_rows for t in tables
-        ) else block
+    tables = [t for t in [block] + [_as_arrow(c) for c in carries] if t.num_rows]
+    if carries and tables:
+        block = pa.concat_tables(tables, promote_options="none")
     return fn(block)
+
+
+@ray.remote
+def _apply_run_block(block, fn, drop_leading: int, carries: list) -> pa.Table:
+    """``_apply_run`` over one block of the distributed path. ``carries``
+    holds nested ObjectRefs (inside a list, Ray does not auto-resolve
+    them) — fetched explicitly."""
+    return _apply_run(block, fn, drop_leading, ray.get(list(carries)))
 
 
 def sorted_run_map(
@@ -493,13 +529,18 @@ def sorted_run_map(
     detection). The measured motivation: Ray's map_groups slices + calls
     Python once per group; with millions of small LSH buckets that dispatch
     dominates the actual kernel work.
+
+    An input within the in-process bounds is sorted as one table and
+    ``block_fn`` runs once over it in the calling process: every run is
+    complete there, so nothing is carried and no overflow can occur.
     """
     assert on_carry_overflow in ("error", "truncate")
-    ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
-    mat = _sort_coalesced(ds, key_cols + (order_cols or []))
-    refs = []
-    for bundle in mat.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
+    cols = key_cols + (order_cols or [])
+    mat = ds.map_batches(lambda t: t, batch_format="pyarrow").materialize()
+    tbl = _sorted_table(mat, cols)
+    if tbl is not None:
+        return rd.from_arrow(_apply_run(tbl, block_fn, 0, [])) if tbl.num_rows else mat
+    refs = block_refs(_range_sort(mat, cols))
     if not refs:
         return mat
     infos = ray.get([_run_boundary_info.remote(r, key_cols) for r in refs])
@@ -647,9 +688,7 @@ def sorted_prefix_sum(
     integer of carry each."""
     ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
     mat = _sort_coalesced(ds, by + order_cols)
-    refs = []
-    for bundle in mat.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
+    refs = block_refs(mat)
     if not refs:
         return mat
     infos = ray.get([_psum_block_info.remote(r, by, delta_col) for r in refs])
@@ -710,9 +749,7 @@ def distinct_by_key(
     with equal keys must be interchangeable."""
     ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
     mat = _sort_coalesced(ds, [key] + (order_cols or []))
-    refs = []
-    for bundle in mat.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
+    refs = block_refs(mat)
     if not refs:
         return mat
     edges = ray.get([_block_edge_keys.remote(r, key) for r in refs])
@@ -790,9 +827,7 @@ def distinct_by_key_contiguous(ds: rd.Dataset, key: str, run_col: str) -> rd.Dat
     import numpy as np
 
     mat = ds.materialize()
-    refs = []
-    for bundle in mat.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
+    refs = block_refs(mat)
     if not refs:
         return mat
     edges = ray.get([_block_edge_keys.remote(r, run_col) for r in refs])
@@ -967,9 +1002,7 @@ def annotate_run_lengths(
     one sort it needs anyway. Rows come back sorted by ``key_cols``."""
     ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
     mat = _sort_coalesced(ds, key_cols)
-    refs = []
-    for bundle in mat.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
+    refs = block_refs(mat)
     if not refs:
         return mat
     infos = ray.get([_block_key_summary.remote(r, key_cols) for r in refs])

@@ -5,7 +5,8 @@ The reference's only resume mechanism is an LLM response diskcache
 deterministic output layout (ray_guide: "one output directory per stage,
 written atomically, plus a manifest"):
 
-    <root>/<table>/            part-*.parquet (written by Ray workers)
+    <root>/<table>/            part-*.parquet (Ray's writers; one
+                               part-0.parquet when pyarrow writes a pa.Table)
     <root>/<table>/MANIFEST.json   lineage: inputs, stage versions, metrics
     <root>/<table>/_SUCCESS        atomic completion marker (written last)
 
@@ -69,9 +70,15 @@ def checkpointed_write(
     name: str,
     lineage: dict[str, Any] | None = None,
     partition_cols: list[str] | None = None,
+    started: float | None = None,
 ) -> dict[str, Any]:
     """Write one logical table; skip if already complete. Returns metrics.
-    A ``pa.Table`` (no ``partition_cols``) is written as one file."""
+    A ``pa.Table`` (no ``partition_cols``) is written as one file.
+
+    ``wall_sec`` (returned and in the MANIFEST) runs from ``started`` (a
+    ``time.perf_counter()`` reading taken when the caller began making the
+    table; default: the start of the write) to the end of the write;
+    ``sink_sec`` is the write alone."""
     out = table_dir(root, name)
     if is_complete(root, name):
         return {"table": name, "skipped": True, "rows": parquet_row_count(out)}
@@ -93,13 +100,15 @@ def checkpointed_write(
             base.empty_table() if base is not None else pa.table({}),
             os.path.join(out, "empty-0.parquet"),
         )
-    wall = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    wall, sink = t1 - (t0 if started is None else started), t1 - t0
 
     rows = parquet_row_count(out) if not partition_cols else None
     manifest = {
         "table": name,
         "rows": rows,
         "wall_sec": round(wall, 3),
+        "sink_sec": round(sink, 3),
         "lineage": lineage or {},
         "written_at": time.time(),
     }
@@ -108,7 +117,13 @@ def checkpointed_write(
     # marker written last: presence ⇒ the parquet + manifest are complete
     with open(os.path.join(out, SUCCESS), "w") as f:
         f.write("")
-    return {"table": name, "skipped": False, "rows": rows, "wall_sec": wall}
+    return {
+        "table": name,
+        "skipped": False,
+        "rows": rows,
+        "wall_sec": wall,
+        "sink_sec": sink,
+    }
 
 
 def checkpointed_write_partitioned(
@@ -273,14 +288,21 @@ def append_table(
 
 
 def replace_table(
-    root: str, name: str, ds: rd.Dataset | pa.Table, lineage: dict | None = None
+    root: str,
+    name: str,
+    ds: rd.Dataset | pa.Table,
+    lineage: dict | None = None,
+    started: float | None = None,
 ) -> dict:
     """Atomically replace a table: build in a temp dir, swap directories.
-    A ``pa.Table`` is written as one file."""
+    A ``pa.Table`` is written as one file; ``started`` as in
+    ``checkpointed_write``."""
     out = table_dir(root, name)
     tmp = out + ".replace_tmp"
     shutil.rmtree(tmp, ignore_errors=True)
-    metrics = checkpointed_write(ds, os.path.dirname(tmp), os.path.basename(tmp), lineage)
+    metrics = checkpointed_write(
+        ds, os.path.dirname(tmp), os.path.basename(tmp), lineage, started=started
+    )
     old = out + ".old"
     shutil.rmtree(old, ignore_errors=True)
     if os.path.exists(out):
@@ -328,6 +350,29 @@ def fits_in_process(rows: int, size: int) -> bool:
     from graphiti_ray.stages import ops
 
     return rows <= ops.SMALL_SORT_ROWS and size <= ops.SMALL_SORT_BYTES
+
+
+def fetch_table(ds: rd.Dataset) -> pa.Table:
+    """``ds`` (executed first when lazy) as one ``pa.Table`` in this
+    process: its blocks fetched once (Arrow blocks without a copy) and
+    concatenated; empty blocks are dropped."""
+    import ray
+
+    from graphiti_ray.stages.ops import _as_arrow, block_refs
+
+    tables = [_as_arrow(b) for b in ray.get(block_refs(ds))]
+    tables = [t for t in tables if t.num_rows] or [t for t in tables if t.num_columns][:1]
+    if tables:
+        return pa.concat_tables(tables, promote_options="default")
+    sch = ds.schema()
+    return sch.base_schema.empty_table() if sch is not None else pa.table({})
+
+
+def table_if_fits(ds: rd.Dataset) -> rd.Dataset | pa.Table:
+    """A materialized ``ds`` to write: fetched as one ``pa.Table`` when it
+    is within the in-process bounds (``count`` and ``size_bytes`` are
+    metadata of a materialized Dataset), else the Dataset itself."""
+    return fetch_table(ds) if fits_in_process(ds.count(), ds.size_bytes() or 0) else ds
 
 
 def table_fits_in_process(root: str, name: str) -> bool:

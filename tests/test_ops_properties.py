@@ -27,9 +27,10 @@ rows_strategy = st.lists(
 
 
 class _sort_path:
-    """Pin ops._sort_coalesced's path: rows=0 forces the DISTRIBUTED sort
-    (boundary-exchange machinery), a huge value forces the driver-local
-    small-sort fast path. Context manager, hypothesis-safe."""
+    """Pin the sort-based operators' tier: rows=0 forces the DISTRIBUTED
+    sort (boundary-exchange machinery) for any non-empty input (-1 for an
+    empty one too), a huge value forces the in-process tier. Context
+    manager, hypothesis-safe."""
 
     def __init__(self, rows: int):
         self.rows = rows
@@ -696,6 +697,98 @@ def test_small_sort_fast_path_matches_distributed(ray_session):
     fast, dist = run(10**9), run(0)
     for f, d in zip(fast, dist):
         pd.testing.assert_frame_equal(f[sorted(f.columns)], d[sorted(d.columns)])
+
+
+def _run_stats():
+    """sorted_run_map kernel (a closure, so Ray workers need not import
+    this module): each row's 1-based rank in its complete key run and the
+    run's length."""
+
+    def kernel(tbl):
+        import pyarrow as pa
+
+        from graphiti_ray.stages.ops import _table_run_starts
+
+        starts = _table_run_starts(tbl, ["k"])
+        lens = np.diff(starts)
+        ranks = np.arange(tbl.num_rows) - np.repeat(starts[:-1], lens) + 1
+        return tbl.append_column("rank", pa.array(ranks, pa.int64())).append_column(
+            "n", pa.array(np.repeat(lens, lens), pa.int64())
+        )
+
+    return kernel
+
+
+def _tier_table(n=240):
+    """A hot key holding two thirds of the rows, cold keys, null keys
+    (int64: Ray's range sort cannot partition a string key with nulls),
+    and a repeating ``v``, so equal-value runs straddle blocks."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(3)
+    keys = [7] * (n * 2 // 3) + [1, 2, 3] * (n // 12) + [None] * (n // 12)
+    t = pa.table(
+        {
+            "k": pa.array(keys, pa.int64()),
+            "v": pa.array(rng.integers(0, 9, n), pa.int64()),
+            "rid": pa.array(range(n), pa.int64()),
+        }
+    )
+    return t.take(rng.permutation(n))
+
+
+def _both_tiers(run, nblocks, t):
+    """``run(ds)`` on the in-process tier and on the distributed path."""
+    out = []
+    for rows_cap in (10**9, 0):
+        with _sort_path(rows_cap):
+            res = run(rd.from_arrow(t).repartition(nblocks)).to_pandas()
+        out.append(res.sort_values("rid").reset_index(drop=True))
+    return out
+
+
+@pytest.mark.parametrize("nblocks", range(1, 9))
+def test_sorted_run_map_and_lead_tiers_agree(ray_session, nblocks):
+    """On 1-8 blocks (inputs that newly take the in-process tier) the
+    one-table kernels equal the distributed boundary exchange: a hot key
+    spanning blocks, null keys, repeated values."""
+    import pyarrow as pa
+
+    from graphiti_ray.stages.ops import sorted_run_map
+
+    t = _tier_table()
+    small, dist = _both_tiers(
+        lambda ds: sorted_run_map(ds, ["k"], _run_stats(), order_cols=["rid"]), nblocks, t
+    )
+    pd.testing.assert_frame_equal(small, dist)
+    keys = t["k"].to_pandas()
+    assert small.loc[small.k == 7, "n"].eq((keys == 7).sum()).all()
+    assert small.loc[small.k.isna(), "n"].eq(keys.isna().sum()).all()
+
+    small, dist = _both_tiers(
+        lambda ds: sorted_lead(
+            ds, ["k"], ["v", "rid"], "v", out_col="nxt", out_type=pa.int64()
+        ),
+        nblocks,
+        t,
+    )
+    pd.testing.assert_frame_equal(small, dist)
+
+
+def test_sorted_run_map_and_lead_empty_input(ray_session):
+    """An empty input gives an empty output on both tiers (a negative row
+    bound forces the distributed path even for 0 rows)."""
+    import pyarrow as pa
+
+    from graphiti_ray.stages.ops import sorted_run_map
+
+    t = _tier_table().slice(0, 0)
+    for rows_cap in (10**9, -1):
+        with _sort_path(rows_cap):
+            ds = rd.from_arrow(t).repartition(3)
+            assert sorted_run_map(ds, ["k"], _run_stats(), order_cols=["rid"]).count() == 0
+            lead = sorted_lead(ds, ["k"], ["v", "rid"], "v", out_col="nxt", out_type=pa.int64())
+            assert lead.count() == 0
 
 
 def test_hll_registers_by_group_matches_per_group_sketch(ray_session):
