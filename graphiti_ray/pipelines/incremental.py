@@ -20,17 +20,30 @@ Late/out-of-order data is handled for free: the sweep re-sorts by event
 time, so a late contradicting page retro-invalidates exactly as the
 reference's interval kernel would (FIXTURES.md F3 "out-of-order arrival").
 
-Table I/O has two tiers, chosen per table by ``checkpoint.fits_in_process``
-(the ``ops.SMALL_SORT_ROWS`` / ``ops.SMALL_SORT_BYTES`` rule the facade's
-search uses): a table whose parquet footers are within both bounds is read
-with pyarrow in this process and split into untouched and affected groups'
-rows by one ``pc.is_in`` on ``group_id`` (``_split``); the rewritten table
-is the kept rows plus the fetched new part, written by pyarrow as one file
-(``_swap``), and an increment within the bounds is appended as one file.
-A larger table keeps the Dataset path: lazy ``_filter_in`` scans, a union,
-and Ray's parquet writers. The kernels are the same on both tiers: each is
-called through this module's globals on a Dataset of the affected groups'
-rows (``rd.from_arrow`` on the in-process tier) and returns a Dataset.
+Each group table has two tiers, chosen per table by
+``checkpoint.fits_in_process`` (the ``ops.SMALL_SORT_ROWS`` /
+``ops.SMALL_SORT_BYTES`` rule the facade's search uses): a table whose
+parquet footers are within both bounds is read with pyarrow in this
+process and split into untouched and affected groups' rows by one
+``pc.is_in`` on ``group_id`` (``_split``); the rewritten table is the kept
+rows plus the new part, written by pyarrow as one file (``_swap``), and
+an increment within the bounds is appended as one file. A larger table
+keeps the Dataset path: lazy ``_filter_in`` scans, a union, and Ray's
+parquet writers.
+
+The kernels follow the ``extracted`` table's tier. When ``_split`` gives
+its affected rows as a ``pa.Table``, the chain (split, canonical map,
+nodes, mention edges, merge, sweep, embeddings) passes tables from
+kernel to kernel: each kernel runs its block function once in this
+process and no Ray Data job starts, except for two outputs that stay
+Datasets because their rows are counted with ``Dataset.count()`` (the
+benchmark's traced counters): ``split_extracted``'s views and
+``canonical_map``. Each is fetched back once. Otherwise every kernel
+runs on Datasets, as ``run_kg`` calls them. The kernels are called
+through this module's globals either way. Pages given as a ``pa.Table``
+(``GraphitiFacade.process_pending``) are also rendered and extracted in
+this process; pages given as a Dataset (``ingest_directory``) keep Ray's
+extraction, so a large page file is not put on one core.
 """
 
 from __future__ import annotations
@@ -101,19 +114,20 @@ def _split(out_root: str, name: str, affected: frozenset, columns=None) -> tuple
 
 
 def _dataset(rows: rd.Dataset | pa.Table) -> rd.Dataset:
-    """``rows`` as a kernel's input."""
+    """``rows`` as a Dataset."""
     return rd.from_arrow(rows) if isinstance(rows, pa.Table) else rows
 
 
-def _swap(out_root: str, name: str, keep, new: rd.Dataset) -> None:
+def _swap(out_root: str, name: str, keep, new) -> None:
     """Replace table ``name`` with ``keep`` ∪ ``new``. When ``keep`` is a
-    ``pa.Table`` (``_split``'s in-process tier), ``new`` is fetched once
-    and the union is written by pyarrow as one file."""
+    ``pa.Table`` (``_split``'s in-process tier), a Dataset ``new`` is
+    fetched once and the union is written by pyarrow as one file."""
     if isinstance(keep, pa.Table):
-        rows = pa.concat_tables([keep, fetch_table(new)], promote_options="default")
-        replace_table(out_root, name, rows)
+        if not isinstance(new, pa.Table):
+            new = fetch_table(new)
+        replace_table(out_root, name, pa.concat_tables([keep, new], promote_options="default"))
     else:
-        replace_table(out_root, name, keep.union(new))
+        replace_table(out_root, name, keep.union(_dataset(new)))
 
 
 def _check_embeddings(out_root: str, embeddings: bool) -> None:
@@ -134,7 +148,7 @@ def _check_embeddings(out_root: str, embeddings: bool) -> None:
 
 def add_pages(
     out_root: str,
-    new_pages: rd.Dataset,
+    new_pages: rd.Dataset | pa.Table,
     run_ts: datetime = DEFAULT_RUN_TS,
     embeddings: bool = True,
 ) -> dict:
@@ -148,19 +162,32 @@ def add_pages(
     tables are swapped one at a time; a crash between swaps leaves them
     individually consistent and the rerun converges.
 
+    ``new_pages`` given as a ``pa.Table`` are rendered and extracted in
+    this process; given as a Dataset, by Ray (module docstring).
+
     Raises ``ValueError`` when ``embeddings`` disagrees with the stored
     edges table (``fact_embedding`` present or not): appending would
     leave a table of mixed schemas that later searches cannot read."""
     import ray
 
     _check_embeddings(out_root, embeddings)
-    new_eps = episodes_dataset(new_pages, run_ts=run_ts).materialize()
-    affected = frozenset(
-        g
-        for t in ray.get(new_eps.to_arrow_refs())
-        if t.num_rows
-        for g in pc.unique(t["group_id"]).to_pylist()
-    )
+    # the increment as a table when it fits in process; new_eps is what
+    # extraction runs on: the table itself only for a pages table
+    pages_table = isinstance(new_pages, pa.Table)
+    if pages_table:
+        new_eps = inc = episodes_dataset(new_pages, run_ts=run_ts)
+    else:
+        new_eps = episodes_dataset(new_pages, run_ts=run_ts).materialize()
+        inc = table_if_fits(new_eps)
+    if isinstance(inc, pa.Table):
+        affected = frozenset(pc.unique(inc["group_id"]).to_pylist())
+    else:
+        affected = frozenset(
+            g
+            for t in ray.get(new_eps.to_arrow_refs())
+            if t.num_rows
+            for g in pc.unique(t["group_id"]).to_pylist()
+        )
     from graphiti_ray.state.checkpoint import checkpointed_write, is_complete
 
     if not is_complete(out_root, "episodes"):
@@ -169,47 +196,60 @@ def add_pages(
         # just-written episodes checkpoint and derives every other table)
         from graphiti_ray.pipelines.kg import run_kg
 
-        checkpointed_write(new_eps, out_root, "episodes", {"note": "bootstrap"})
+        checkpointed_write(inc, out_root, "episodes", {"note": "bootstrap"})
         run_kg("unused", out_root, run_ts=run_ts, embeddings=embeddings)
         return {
-            "episodes_added": new_eps.count(),
+            "episodes_added": inc.num_rows if isinstance(inc, pa.Table) else inc.count(),
             "affected_groups": sorted(affected),
         }
     # uuid-level upsert: drop episodes already present (affected groups only
     # are compared — the existing-uuid set is increment-sized, not graph-sized)
-    inc = table_if_fits(new_eps)
     _, old = _split(out_root, "episodes", affected, ["group_id", "uuid"])
-    if isinstance(inc, pa.Table) and isinstance(old, pa.Table):
-        inc = inc.filter(pc.invert(pc.is_in(inc["uuid"], value_set=old["uuid"])))
-        new_eps = rd.from_arrow(inc)
+    if isinstance(old, pa.Table):
+        existing = old["uuid"]
     else:
-        existing = frozenset(
-            r["uuid"] for r in _dataset(old).select_columns(["uuid"]).take_all()
+        existing = pa.array(
+            sorted({r["uuid"] for r in old.select_columns(["uuid"]).take_all()}),
+            pa.string(),
         )
-        if existing:
+    if isinstance(inc, pa.Table):
+        inc = inc.filter(pc.invert(pc.is_in(inc["uuid"], value_set=existing)))
+        new_eps = inc if pages_table else rd.from_arrow(inc)
+        added = inc.num_rows
+    else:
+        if len(existing):
             new_eps = inc = _filter_in(
-                new_eps, "uuid", existing, keep=False
+                new_eps, "uuid", frozenset(existing.to_pylist()), keep=False
             ).materialize()
-    if new_eps.count() == 0:
+        added = new_eps.count()
+    if added == 0:
         return {"episodes_added": 0, "affected_groups": sorted(affected)}
-    new_extracted = extracted_dataset(new_eps).materialize()
+    new_extracted = extracted_dataset(new_eps)
+    if not isinstance(new_extracted, pa.Table):
+        new_extracted = table_if_fits(new_extracted.materialize())
 
     n_eps = append_table(out_root, "episodes", inc, note="add_pages")
-    append_table(out_root, "extracted", table_if_fits(new_extracted), note="add_pages")
+    append_table(out_root, "extracted", new_extracted, note="add_pages")
 
-    # full extracted rows for the affected groups (old + just-appended)
+    # full extracted rows for the affected groups (old + just-appended);
+    # on the in-process tier they stay tables through the chain, and the
+    # two counted outputs are fetched back once each
     _, extracted_aff = _split(out_root, "extracted", affected)
-    mentions_aff, triples_aff = split_extracted(_dataset(extracted_aff).materialize())
+    in_process = isinstance(extracted_aff, pa.Table)
+    if in_process:
+        mentions_aff, triples_aff = map(fetch_table, split_extracted(extracted_aff))
+    else:
+        mentions_aff, triples_aff = split_extracted(extracted_aff.materialize())
 
     # canonical map: untouched groups verbatim + fresh resolution for touched
     canon_keep, _ = _split(out_root, "canonical_map", affected)
-    # arrow-normalize: map_groups emits pandas blocks, and a later sort over
-    # a mixed arrow+pandas union trips ray's block-type assertion
-    canon_new = (
-        canonical_map(mentions_aff)
-        .map_batches(lambda t: t, batch_format="pyarrow")
-        .materialize()
-    )
+    canon_new = canonical_map(mentions_aff)
+    if in_process:
+        canon_new = fetch_table(canon_new)
+    else:
+        # arrow-normalize: map_groups emits pandas blocks, and a later sort
+        # over a mixed arrow+pandas union trips ray's block-type assertion
+        canon_new = canon_new.map_batches(lambda t: t, batch_format="pyarrow").materialize()
     _swap(out_root, "canonical_map", canon_keep, canon_new)
 
     # nodes: untouched groups verbatim (their summaries and attributes

@@ -146,8 +146,9 @@ class GraphitiFacade:
             by_group.setdefault(g, []).append(item["row"])
         total = 0
         for g in order:  # sequential per group, groups in arrival order
-            # one block per group, so each append writes one file per table
-            pages = rd.from_arrow(pa.Table.from_pylist(by_group[g], schema=_PAGE_SCHEMA))
+            # a pa.Table: add_pages renders, extracts and links a queue-sized
+            # batch in this process when the group tables are small
+            pages = pa.Table.from_pylist(by_group[g], schema=_PAGE_SCHEMA)
             stats = add_pages(
                 self.out_root, pages, run_ts=self.run_ts, embeddings=self.embeddings
             )

@@ -111,19 +111,23 @@ def _embed_fn(batch: pa.Table, text_col=None, out_col=None, dim=EMBED_DIM) -> pa
 
 
 def with_embedding(
-    ds: rd.Dataset,
+    ds: rd.Dataset | pa.Table,
     text_col: str,
     out_col: str,
     dim: int = EMBED_DIM,
     concurrency=None,
     compute: str = "tasks",
-) -> rd.Dataset:
+) -> rd.Dataset | pa.Table:
+    """``ds`` with ``out_col`` holding the hashing embedding of
+    ``text_col``; tasks mode embeds a ``pa.Table`` in this process."""
     if compute == "tasks":
         import functools
 
-        return ds.map_batches(
+        from graphiti_ray.stages.ops import map_table
+
+        return map_table(
+            ds,
             functools.partial(_embed_fn, text_col=text_col, out_col=out_col, dim=dim),
-            batch_format="pyarrow",
             zero_copy_batch=True,
         )
     if concurrency is None:

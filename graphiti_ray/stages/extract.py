@@ -101,13 +101,16 @@ class ExtractEpisodes:
 
 
 def episodes_dataset(
-    pages: rd.Dataset,
+    pages: rd.Dataset | pa.Table,
     run_ts: datetime = DEFAULT_RUN_TS,
     check_invariant: bool = True,
-) -> rd.Dataset:
-    return pages.map_batches(
+) -> rd.Dataset | pa.Table:
+    """Episodes of ``pages``; a ``pa.Table`` is rendered in this process."""
+    from graphiti_ray.stages.ops import map_table
+
+    return map_table(
+        pages,
         ExtractEpisodes(run_ts=run_ts, check_invariant=check_invariant),
-        batch_format="pyarrow",
         zero_copy_batch=True,
     )
 

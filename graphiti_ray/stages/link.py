@@ -178,7 +178,7 @@ def is_full_form(name: str) -> bool:
     return " " in name and not is_initial_form(name)
 
 
-def mention_partials(mentions: rd.Dataset) -> rd.Dataset:
+def mention_partials(mentions: rd.Dataset | pa.Table) -> rd.Dataset | pa.Table:
     """Per-batch partial aggregation: (group_id, name, label_hint) → cnt.
 
     Combiner before the wide groupby — the shuffle then carries one row per
@@ -198,7 +198,9 @@ def mention_partials(mentions: rd.Dataset) -> rd.Dataset:
         tbl = pa.Table.from_pandas(out, preserve_index=False)
         return tbl.replace_schema_metadata(None)
 
-    return mentions.map_batches(agg, batch_format="pyarrow")
+    from graphiti_ray.stages.ops import map_table
+
+    return map_table(mentions, agg)
 
 
 def resolve_group(g: pd.DataFrame) -> pd.DataFrame:
@@ -306,16 +308,22 @@ def _resolve_block(tbl: pa.Table) -> pa.Table:
     )
 
 
-def canonical_map(mentions: rd.Dataset) -> rd.Dataset:
+def canonical_map(mentions: rd.Dataset | pa.Table) -> rd.Dataset:
     """mentions → (group_id, name) → canonical/entity_uuid mapping table.
 
     Shape: per-batch partial counts (combiner) → one range sort on
     group_id → per-block resolution over complete group runs
-    (``ops.sorted_run_map``) — no per-host ``map_groups`` dispatch."""
+    (``ops.sorted_run_map``) — no per-host ``map_groups`` dispatch.
+
+    A ``pa.Table`` of mentions is resolved in this process, but the map
+    still comes back as a Dataset (``rd.from_arrow``): callers count its
+    rows with ``Dataset.count()`` (the benchmark's traced counter of
+    canonical rows), so the return type stays one thing."""
     from graphiti_ray.stages.ops import sorted_run_map
 
     partials = mention_partials(mentions)
-    return sorted_run_map(partials, key_cols=["group_id"], block_fn=_resolve_block)
+    canon = sorted_run_map(partials, key_cols=["group_id"], block_fn=_resolve_block)
+    return rd.from_arrow(canon) if isinstance(canon, pa.Table) else canon
 
 
 def _nodes_block(tbl: pa.Table, attribute_extractors: dict | None) -> pa.Table:
@@ -385,8 +393,8 @@ def _nodes_block(tbl: pa.Table, attribute_extractors: dict | None) -> pa.Table:
 
 
 def nodes_from_canonical(
-    canon: rd.Dataset, attribute_extractors: dict | None = None
-) -> rd.Dataset:
+    canon: rd.Dataset | pa.Table, attribute_extractors: dict | None = None
+) -> rd.Dataset | pa.Table:
     """canonical map → entity nodes table (EntityNode parity,
     nodes.py:297-302): uuid, name, group_id, labels, summary,
     mention_count, attributes (map<string,string>, JSON-encoded values —
@@ -587,7 +595,7 @@ def apply_canonical(
 BROADCAST_LIMIT = 2_000_000  # canon rows; above this use the hash join
 
 
-def canon_lookup_ref(canon: rd.Dataset):
+def canon_lookup_ref(canon: rd.Dataset | pa.Table):
     """Materialize the canonical map as one broadcast dict in the object
     store: {"group|name": (canonical, entity_uuid)}.
 
@@ -603,7 +611,8 @@ def canon_lookup_ref(canon: rd.Dataset):
     # them starts no streaming execution (~1s of fixed overhead per stage
     # boundary for a vocabulary-sized table)
     cols = ["group_id", "name", "canonical", "entity_uuid"]
-    blocks = [t.select(cols).to_pandas() for t in ray.get(canon.to_arrow_refs())]
+    tables = [canon] if isinstance(canon, pa.Table) else ray.get(canon.to_arrow_refs())
+    blocks = [t.select(cols).to_pandas() for t in tables]
     df = pd.concat(blocks, ignore_index=True) if blocks else pd.DataFrame(columns=cols)
     # broadcast payload: a pandas hash Index over "group|name" keys plus
     # parallel value arrays — built once, cached per worker (_cached_lut),
@@ -693,17 +702,21 @@ def _mention_apply_fn(batch: pa.Table, lut_ref=None) -> pa.Table:
     )
 
 
-def apply_canonical_broadcast(triples: rd.Dataset, lut_ref) -> rd.Dataset:
+def apply_canonical_broadcast(
+    triples: rd.Dataset | pa.Table, lut_ref
+) -> rd.Dataset | pa.Table:
     import functools
 
-    return triples.map_batches(
-        functools.partial(_canon_apply_fn, lut_ref=lut_ref),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    from graphiti_ray.stages.ops import map_table
+
+    return map_table(
+        triples, functools.partial(_canon_apply_fn, lut_ref=lut_ref), zero_copy_batch=True
     )
 
 
-def mention_edges_broadcast(mentions: rd.Dataset, lut_ref) -> rd.Dataset:
+def mention_edges_broadcast(
+    mentions: rd.Dataset | pa.Table, lut_ref
+) -> rd.Dataset | pa.Table:
     """MENTIONS edges via broadcast map + exact ZERO-SHUFFLE distinct.
 
     The per-batch seen-set removes almost all duplicates; an episode whose
@@ -719,15 +732,17 @@ def mention_edges_broadcast(mentions: rd.Dataset, lut_ref) -> rd.Dataset:
     removes the build's single biggest all-to-all shuffle. Exact because
     the uuid is a content hash (equal uuid ⇒ identical row).
     """
-    from graphiti_ray.stages.ops import distinct_by_key_contiguous
-
     import functools
 
-    mapped = mentions.select_columns(
-        ["episode_uuid", "group_id", "name"]
-    ).map_batches(
+    from graphiti_ray.stages.ops import (
+        distinct_by_key_contiguous,
+        map_table,
+        select_columns,
+    )
+
+    mapped = map_table(
+        select_columns(mentions, ["episode_uuid", "group_id", "name"]),
         functools.partial(_mention_apply_fn, lut_ref=lut_ref),
-        batch_format="pyarrow",
         zero_copy_batch=True,
     )
     return distinct_by_key_contiguous(mapped, "uuid", "episode_uuid")

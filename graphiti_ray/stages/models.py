@@ -116,16 +116,25 @@ def with_model_embedding(
 
 
 def auto_embedding(
-    ds: rd.Dataset, text_col: str, out_col: str, **kw
-) -> rd.Dataset:
+    ds: rd.Dataset | pa.Table, text_col: str, out_col: str, **kw
+) -> rd.Dataset | pa.Table:
     """Env-flag dispatch for ST2: ``$GRAPHITI_RAY_EMBED_MODEL`` set AND
     sentence-transformers importable → real model actor pool; otherwise the
-    deterministic hashing embedder (logged fallback, never a failure)."""
+    deterministic hashing embedder (logged fallback, never a failure).
+    A ``pa.Table`` comes back as a table: the hashing embedder runs in
+    this process, the model pool over ``rd.from_arrow(ds)``."""
     from graphiti_ray.stages.embed import with_embedding
 
     name = os.environ.get(EMBED_MODEL_ENV)
     if name:
         if sentence_transformers_available():
+            if isinstance(ds, pa.Table):
+                from graphiti_ray.state.checkpoint import fetch_table
+
+                model = with_model_embedding(
+                    rd.from_arrow(ds), text_col, out_col, model_name=name, **kw
+                )
+                return fetch_table(model.materialize())
             return with_model_embedding(ds, text_col, out_col, model_name=name, **kw)
         logger.warning(
             "%s=%s set but sentence-transformers is not installed; "

@@ -294,12 +294,12 @@ class TripleExtractor:
 _NLP_COLS = ["uuid", "group_id", "content", "valid_at"]
 
 
-def _nlp_cols(ds: rd.Dataset) -> list[str]:
+def _nlp_cols(ds: rd.Dataset | pa.Table) -> list[str]:
     """The NLP projection; ``source`` rides along when present so the
     extractors can apply per-EpisodeType rules (message speaker, json
     key-rule). Episode datasets built by this repo always carry it; bare
     test fixtures without it default to text semantics."""
-    names = ds.schema().names
+    names = ds.column_names if isinstance(ds, pa.Table) else ds.schema().names
     return _NLP_COLS + (["source"] if "source" in names else [])
 
 
@@ -430,9 +430,18 @@ class CombinedExtractor:
         )
 
 
-def split_extracted(extracted: rd.Dataset) -> tuple[rd.Dataset, rd.Dataset]:
-    """(mentions, triples) views of a combined extraction table."""
+def split_extracted(
+    extracted: rd.Dataset | pa.Table,
+) -> tuple[rd.Dataset, rd.Dataset]:
+    """(mentions, triples) views of a combined extraction table.
+
+    A ``pa.Table`` is split in this process, but both views come back as
+    Datasets (``rd.from_arrow``): callers count the triples with
+    ``Dataset.count()`` (the benchmark's traced counter of triple rows),
+    so the return type stays one thing."""
     import pyarrow.compute as pc
+
+    from graphiti_ray.stages.ops import map_table
 
     def keep(kind, cols):
         def f(batch: pa.Table) -> pa.Table:
@@ -441,19 +450,21 @@ def split_extracted(extracted: rd.Dataset) -> tuple[rd.Dataset, rd.Dataset]:
 
         return f
 
-    mentions = extracted.map_batches(
+    mentions = map_table(
+        extracted,
         keep("m", ["episode_uuid", "group_id", "name", "label_hint", "valid_at"]),
-        batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    triples = extracted.map_batches(
+    triples = map_table(
+        extracted,
         keep(
             "t",
             ["episode_uuid", "group_id", "subj_name", "pred", "obj_name", "fact", "valid_at"],
         ),
-        batch_format="pyarrow",
         zero_copy_batch=True,
     )
+    if isinstance(extracted, pa.Table):
+        return rd.from_arrow(mentions), rd.from_arrow(triples)
     return mentions, triples
 
 
@@ -487,11 +498,17 @@ def _combined_extract_fn(batch: pa.Table) -> pa.Table:
 
 
 def extracted_dataset(
-    episodes: rd.Dataset, concurrency=DEFAULT_POOL, compute: str = "tasks"
-) -> rd.Dataset:
+    episodes: rd.Dataset | pa.Table, concurrency=DEFAULT_POOL, compute: str = "tasks"
+) -> rd.Dataset | pa.Table:
+    """Combined mention + triple rows of ``episodes``; tasks mode extracts
+    a ``pa.Table`` in this process."""
     if compute == "tasks":
-        return episodes.select_columns(_nlp_cols(episodes)).map_batches(
-            _combined_extract_fn, batch_format="pyarrow", zero_copy_batch=True
+        from graphiti_ray.stages.ops import map_table, select_columns
+
+        return map_table(
+            select_columns(episodes, _nlp_cols(episodes)),
+            _combined_extract_fn,
+            zero_copy_batch=True,
         )
     return episodes.select_columns(_nlp_cols(episodes)).map_batches(
         CombinedExtractor,

@@ -26,6 +26,13 @@ use too):
   starts, and ``carry_cap`` cannot overflow;
 - it does not: Ray's distributed range sort, then the per-block kernels
   with their block-boundary exchange.
+
+Given a ``pa.Table`` instead of a Dataset, ``sorted_run_map``,
+``sorted_lead`` and ``distinct_by_key_contiguous`` run their kernel once
+over it in the calling process and return a table: the caller has
+already chosen the in-process tier (``pipelines/incremental.py`` chains
+the ingest kernels this way). ``map_table`` is the same dispatch for a
+plain per-batch map.
 """
 
 from __future__ import annotations
@@ -59,16 +66,32 @@ def block_refs(ds: rd.Dataset) -> list:
     return refs
 
 
-def _sorted_table(mat: rd.Dataset, cols: list[str]) -> pa.Table | None:
-    """The whole materialized input as one ``pa.Table`` sorted by ``cols``
-    (``null_placement`` matches Ray's at_end) when it fits the in-process
-    bounds; None when it does not."""
-    if not fits_in_process(mat.count(), mat.size_bytes() or 0):
-        return None
-    tbl = fetch_table(mat)
+def map_table(rows: rd.Dataset | pa.Table, fn, **kw) -> rd.Dataset | pa.Table:
+    """``fn(rows)`` in this process for a ``pa.Table``, else
+    ``rows.map_batches(fn, batch_format="pyarrow", **kw)``."""
+    if isinstance(rows, pa.Table):
+        return fn(rows)
+    return rows.map_batches(fn, batch_format="pyarrow", **kw)
+
+
+def select_columns(rows: rd.Dataset | pa.Table, cols: list[str]) -> rd.Dataset | pa.Table:
+    """``rows`` projected to ``cols``, a table or a Dataset."""
+    return rows.select(cols) if isinstance(rows, pa.Table) else rows.select_columns(cols)
+
+
+def _sort_table(tbl: pa.Table, cols: list[str]) -> pa.Table:
+    """``tbl`` sorted by ``cols``, nulls last (Ray's sort order)."""
     if not tbl.num_rows:
         return tbl
     return tbl.combine_chunks().sort_by([(c, "ascending") for c in cols])
+
+
+def _sorted_table(mat: rd.Dataset, cols: list[str]) -> pa.Table | None:
+    """The whole materialized input as one ``pa.Table`` sorted by ``cols``
+    when it fits the in-process bounds; None when it does not."""
+    if not fits_in_process(mat.count(), mat.size_bytes() or 0):
+        return None
+    return _sort_table(fetch_table(mat), cols)
 
 
 def _sort_coalesced(ds: rd.Dataset, cols: list[str]) -> rd.Dataset:
@@ -107,7 +130,49 @@ def _range_sort(mat: rd.Dataset, cols: list[str]) -> rd.Dataset:
         )
         if target < nblocks // 2:
             mat = mat.repartition(target).materialize()
-    return mat.sort(cols).materialize()
+    # Ray's range partitioning compares key values in Python, and None
+    # does not compare with str: a string key sorts as (is-null flag, the
+    # value with nulls filled), and each sorted block gets its nulls back
+    # in a task of its own (a map operator could reorder the blocks)
+    schema = mat.schema()
+    types = dict(zip(schema.names, schema.types)) if schema is not None else {}
+    texts = [
+        c
+        for c in cols
+        if isinstance(types.get(c), pa.DataType)
+        and (pa.types.is_string(types[c]) or pa.types.is_large_string(types[c]))
+    ]
+    if not texts:
+        return mat.sort(cols).materialize()
+    keys = [k for c in cols for k in ((f"{c}__null", c) if c in texts else (c,))]
+
+    def flag(t: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        for c in texts:
+            t = t.append_column(f"{c}__null", pc.is_null(t[c]))
+            t = t.set_column(t.schema.get_field_index(c), c, pc.fill_null(t[c], ""))
+        return t
+
+    flagged = mat.map_batches(flag, batch_format="pyarrow").sort(keys).materialize()
+    return rd.from_arrow_refs(
+        [_unflag_block.remote(r, texts) for r in block_refs(flagged)]
+    )
+
+
+@ray.remote
+def _unflag_block(block, texts: list[str]) -> pa.Table:
+    """A block sorted by ``_range_sort``'s flagged keys, with each string
+    key's nulls put back and its flag column dropped."""
+    import pyarrow.compute as pc
+
+    t = _as_arrow(block)
+    if f"{texts[0]}__null" not in t.column_names:
+        return t  # an empty block without a schema
+    for c in texts:
+        null = pa.scalar(None, t[c].type)
+        t = t.set_column(t.schema.get_field_index(c), c, pc.if_else(t[f"{c}__null"], null, t[c]))
+    return t.drop_columns([f"{c}__null" for c in texts])
 
 
 def _as_arrow(block) -> pa.Table:
@@ -296,13 +361,13 @@ def _resolve_boundary_lead(i: int, infos: list) -> object:
 
 
 def sorted_lead(
-    ds: rd.Dataset,
+    ds: rd.Dataset | pa.Table,
     part_cols: list[str],
     order_cols: list[str],
     value_col: str,
     out_col: str = "lead_value",
     out_type: pa.DataType = pa.timestamp("us"),
-) -> rd.Dataset:
+) -> rd.Dataset | pa.Table:
     """Distributed ``lead(value_col) OVER (PARTITION BY part_cols ORDER BY
     order_cols)`` with NO per-partition grouping: one global range sort,
     then a per-block pass with one boundary row exchanged between
@@ -316,8 +381,12 @@ def sorted_lead(
     any number of block boundaries is handled (no uniqueness precondition
     on (part, value)). Precondition: ``value_col`` must be ordered by the
     sort (i.e. aligned with ``order_cols``) so values are non-decreasing
-    within a partition. An input within the in-process bounds is sorted
-    and led as one table in the calling process (module docstring)."""
+    within a partition. An input within the in-process bounds, or given
+    as a ``pa.Table``, is sorted and led as one table in the calling
+    process (module docstring)."""
+    if isinstance(ds, pa.Table):
+        tbl = _sort_table(ds, part_cols + order_cols)
+        return _lead(tbl, part_cols, value_col, out_col, out_type, None)
     # arrow-normalize first: from_pandas/map_groups lineages carry pandas
     # blocks, and the remote block fns operate on arrow tables
     mat = ds.map_batches(lambda t: t, batch_format="pyarrow").materialize()
@@ -502,13 +571,13 @@ def _apply_run_block(block, fn, drop_leading: int, carries: list) -> pa.Table:
 
 
 def sorted_run_map(
-    ds: rd.Dataset,
+    ds: rd.Dataset | pa.Table,
     key_cols: list[str],
     block_fn,
     order_cols: list[str] | None = None,
     carry_cap: int = 65536,
     on_carry_overflow: str = "error",
-) -> rd.Dataset:
+) -> rd.Dataset | pa.Table:
     """``groupby(key_cols).map_groups`` semantics WITHOUT per-group Python
     dispatch: one global range sort, then ``block_fn`` runs once per block
     over COMPLETE key runs (a run straddling a block boundary is carried
@@ -530,16 +599,21 @@ def sorted_run_map(
     Python once per group; with millions of small LSH buckets that dispatch
     dominates the actual kernel work.
 
-    An input within the in-process bounds is sorted as one table and
-    ``block_fn`` runs once over it in the calling process: every run is
-    complete there, so nothing is carried and no overflow can occur.
+    An input within the in-process bounds, or given as a ``pa.Table``,
+    is sorted as one table and ``block_fn`` runs once over it in the
+    calling process: every run is complete there, so nothing is carried
+    and no overflow can occur. A table input gives a table back, and
+    ``block_fn`` sees it even when it is empty, so the output has the
+    kernel's columns.
     """
     assert on_carry_overflow in ("error", "truncate")
     cols = key_cols + (order_cols or [])
+    if isinstance(ds, pa.Table):
+        return block_fn(_sort_table(ds, cols))
     mat = ds.map_batches(lambda t: t, batch_format="pyarrow").materialize()
     tbl = _sorted_table(mat, cols)
     if tbl is not None:
-        return rd.from_arrow(_apply_run(tbl, block_fn, 0, [])) if tbl.num_rows else mat
+        return rd.from_arrow(block_fn(tbl)) if tbl.num_rows else mat
     refs = block_refs(_range_sort(mat, cols))
     if not refs:
         return mat
@@ -762,9 +836,8 @@ def distinct_by_key(
     return rd.from_arrow_refs(out_refs)
 
 
-@ray.remote
-def _dedup_block_hash(block, key: str) -> pa.Table:
-    """Keep the first row per key WITHIN one block (keys need not be
+def _first_per_key(block, key: str) -> pa.Table:
+    """Keep the first row per key of one table (keys need not be
     adjacent). Vectorized: np.unique first-occurrence indices."""
     import numpy as np
 
@@ -778,27 +851,24 @@ def _dedup_block_hash(block, key: str) -> pa.Table:
     return block.take(pa.array(np.sort(first_idx)))
 
 
+_dedup_block_hash = ray.remote(_first_per_key)
+
+
 @ray.remote(num_returns=2)
 def _split_dedup_block(block, key: str, run_col: str, values: pa.Array):
     """(clean rows deduped-by-key, raw rows whose run straddles blocks)."""
-    import numpy as np
     import pyarrow.compute as pc
 
     block = _as_arrow(block)
     if block.num_rows == 0:
         return block, block
     m = pc.is_in(block.column(run_col), value_set=values)
-    dirty = block.filter(m)
-    clean = block.filter(pc.invert(m))
-    if clean.num_rows:
-        arr = clean.column(key).to_numpy(zero_copy_only=False)
-        _, first_idx = np.unique(arr, return_index=True)
-        if len(first_idx) != clean.num_rows:
-            clean = clean.take(pa.array(np.sort(first_idx)))
-    return clean, dirty
+    return _first_per_key(block.filter(pc.invert(m)), key), block.filter(m)
 
 
-def distinct_by_key_contiguous(ds: rd.Dataset, key: str, run_col: str) -> rd.Dataset:
+def distinct_by_key_contiguous(
+    ds: rd.Dataset | pa.Table, key: str, run_col: str
+) -> rd.Dataset | pa.Table:
     """Exact one-row-per-key distinct with ZERO shuffle, for datasets where
     equal keys can only occur inside one contiguous run of ``run_col``
     (e.g. per-episode extraction output: all of an episode's rows are
@@ -821,11 +891,12 @@ def distinct_by_key_contiguous(ds: rd.Dataset, key: str, run_col: str) -> rd.Dat
 
     Rows with equal ``key`` must be interchangeable (true for content-hash
     uuids: equal key ⇒ identical row), since which duplicate survives
-    depends on block delivery order."""
+    depends on block delivery order. A ``pa.Table`` is one block: one
+    ``np.unique`` on ``key``, and a table back."""
     from collections import Counter
 
-    import numpy as np
-
+    if isinstance(ds, pa.Table):
+        return _first_per_key(ds, key)
     mat = ds.materialize()
     refs = block_refs(mat)
     if not refs:
@@ -849,10 +920,7 @@ def distinct_by_key_contiguous(ds: rd.Dataset, key: str, run_col: str) -> rd.Dat
         clean_refs.append(c)
         dirty_refs.append(d)
     dirty_tables = [t for t in ray.get(dirty_refs) if t.num_rows]
-    dirty = pa.concat_tables(dirty_tables).combine_chunks()
-    arr = dirty.column(key).to_numpy(zero_copy_only=False)
-    _, first_idx = np.unique(arr, return_index=True)
-    dirty = dirty.take(pa.array(np.sort(first_idx)))
+    dirty = _first_per_key(pa.concat_tables(dirty_tables).combine_chunks(), key)
     return rd.from_arrow_refs(clean_refs).union(rd.from_arrow(dirty))
 
 

@@ -169,8 +169,8 @@ def _merge_finalize_block(tbl: pa.Table, run_ts: datetime) -> pa.Table:
 
 
 def merged_edges(
-    resolved: rd.Dataset, run_ts: datetime = DEFAULT_RUN_TS
-) -> rd.Dataset:
+    resolved: rd.Dataset | pa.Table, run_ts: datetime = DEFAULT_RUN_TS
+) -> rd.Dataset | pa.Table:
     """resolved triples → one edge per (group, subj, pred, obj).
 
     valid_at = earliest assertion; fact = fact text of the earliest
@@ -183,7 +183,7 @@ def merged_edges(
     """
     import functools
 
-    from graphiti_ray.stages.ops import sorted_run_map
+    from graphiti_ray.stages.ops import map_table, sorted_run_map
 
     def combiner(batch: pa.Table) -> pa.Table:
         # Arrow-native combiner: one in-batch sort, run detection, a
@@ -231,7 +231,7 @@ def merged_edges(
         head = srt.take(pa.array(firsts, pa.int64())).rename_columns(out_names)
         return head.append_column("episodes", episodes)
 
-    partial = resolved.map_batches(combiner, batch_format="pyarrow")
+    partial = map_table(resolved, combiner)
     return sorted_run_map(
         partial,
         key_cols=EDGE_KEY,
@@ -300,8 +300,8 @@ def invalidation_sweep(
 
 
 def invalidation_sweep_scalable(
-    edges: rd.Dataset, run_ts: datetime = DEFAULT_RUN_TS
-) -> rd.Dataset:
+    edges: rd.Dataset | pa.Table, run_ts: datetime = DEFAULT_RUN_TS
+) -> rd.Dataset | pa.Table:
     """Hub-safe variant of :func:`invalidation_sweep`.
 
     Precondition: ``edges`` is the *merged* table (one row per
@@ -318,11 +318,9 @@ def invalidation_sweep_scalable(
     """
     import pyarrow.compute as pc
 
-    from graphiti_ray.stages.ops import sorted_lead
+    from graphiti_ray.stages.ops import map_table, sorted_lead
 
-    keyed = edges.map_batches(
-        lambda b: _add_inval_key(b, with_mode=False), batch_format="pyarrow"
-    )
+    keyed = map_table(edges, lambda b: _add_inval_key(b, with_mode=False))
     led = sorted_lead(
         keyed, ["inval_key"], ["valid_at", "uuid"], "valid_at", out_col="invalid_at"
     )
@@ -337,7 +335,7 @@ def invalidation_sweep_scalable(
         out = batch.append_column("expired_at", expired)
         return out.drop_columns(["inval_key"])
 
-    return led.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return map_table(led, finish, zero_copy_batch=True)
 
 
 def resolve_edge_contradictions(
@@ -376,9 +374,10 @@ def resolve_edge_contradictions(
     return invalidated
 
 
-def episodes_to_list(edges: rd.Dataset) -> rd.Dataset:
+def episodes_to_list(edges: rd.Dataset | pa.Table) -> rd.Dataset | pa.Table:
     """Final schema fix-up: provenance ','-string → list<string> (the
     EntityEdge.episodes shape, edges.py:209). Vectorized Arrow kernel."""
+    from graphiti_ray.stages.ops import map_table
 
     def split(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -387,7 +386,7 @@ def episodes_to_list(edges: rd.Dataset) -> rd.Dataset:
         lists = pc.split_pattern(batch.column("episodes"), ",")
         return batch.set_column(idx, "episodes", lists)
 
-    return edges.map_batches(split, batch_format="pyarrow", zero_copy_batch=True)
+    return map_table(edges, split, zero_copy_batch=True)
 
 
 def edges_valid_at_episodes(

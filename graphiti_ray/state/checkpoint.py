@@ -71,6 +71,7 @@ def checkpointed_write(
     lineage: dict[str, Any] | None = None,
     partition_cols: list[str] | None = None,
     started: float | None = None,
+    table: str | None = None,
 ) -> dict[str, Any]:
     """Write one logical table; skip if already complete. Returns metrics.
     A ``pa.Table`` (no ``partition_cols``) is written as one file.
@@ -78,10 +79,13 @@ def checkpointed_write(
     ``wall_sec`` (returned and in the MANIFEST) runs from ``started`` (a
     ``time.perf_counter()`` reading taken when the caller began making the
     table; default: the start of the write) to the end of the write;
-    ``sink_sec`` is the write alone."""
+    ``sink_sec`` is the write alone. ``table`` names the table in the
+    MANIFEST and the metrics when the directory ``name`` is not the
+    table's own (``replace_table``'s temp directory)."""
     out = table_dir(root, name)
+    table = table or name
     if is_complete(root, name):
-        return {"table": name, "skipped": True, "rows": parquet_row_count(out)}
+        return {"table": table, "skipped": True, "rows": parquet_row_count(out)}
 
     if os.path.exists(out):  # partial previous attempt → start clean
         shutil.rmtree(out)
@@ -105,7 +109,7 @@ def checkpointed_write(
 
     rows = parquet_row_count(out) if not partition_cols else None
     manifest = {
-        "table": name,
+        "table": table,
         "rows": rows,
         "wall_sec": round(wall, 3),
         "sink_sec": round(sink, 3),
@@ -118,7 +122,7 @@ def checkpointed_write(
     with open(os.path.join(out, SUCCESS), "w") as f:
         f.write("")
     return {
-        "table": name,
+        "table": table,
         "skipped": False,
         "rows": rows,
         "wall_sec": wall,
@@ -301,7 +305,7 @@ def replace_table(
     tmp = out + ".replace_tmp"
     shutil.rmtree(tmp, ignore_errors=True)
     metrics = checkpointed_write(
-        ds, os.path.dirname(tmp), os.path.basename(tmp), lineage, started=started
+        ds, os.path.dirname(tmp), os.path.basename(tmp), lineage, started=started, table=name
     )
     old = out + ".old"
     shutil.rmtree(old, ignore_errors=True)

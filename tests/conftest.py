@@ -23,3 +23,25 @@ def ray_session():
     ctx.execution_options.preserve_order = True
     yield
     ray.shutdown()
+
+
+def _count_executions(monkeypatch) -> list[str]:
+    """Records every Ray Data execution started from now on: each runs
+    through one of these two ExecutionPlan entry points."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    calls = []
+    for name in ("execute", "execute_to_iterator"):
+        def counted(self, *a, _name=name, _orig=getattr(ExecutionPlan, name), **k):
+            calls.append(_name)
+            return _orig(self, *a, **k)
+
+        monkeypatch.setattr(ExecutionPlan, name, counted)
+    return calls
+
+
+@pytest.fixture(scope="session")
+def count_executions():
+    """``count_executions(monkeypatch)`` → a list that records every Ray
+    Data execution started until ``monkeypatch`` is undone."""
+    return _count_executions

@@ -375,13 +375,11 @@ def _parquet_files(root):
     return out
 
 
-def test_small_tier_ingest_cost_is_the_delta(ray_session, tmp_path, monkeypatch):
+def test_small_tier_ingest_cost_is_the_delta(ray_session, tmp_path, monkeypatch, count_executions):
     """On the in-process tier an ingest writes one parquet file per table it
     touches, and starts as many Ray Data executions into a 12-group graph
     as into a 2-group one."""
     import os
-
-    from tests.test_mcp_facade import _count_executions
 
     page = [("Alice dislikes Bob Jones.", "g1", T[3])]
     counts, written = {}, {}
@@ -394,7 +392,7 @@ def test_small_tier_ingest_cost_is_the_delta(ray_session, tmp_path, monkeypatch)
         )
         before = _parquet_files(root)
         with monkeypatch.context() as m:
-            calls = _count_executions(m)
+            calls = count_executions(m)
             add_pages(root, rd.from_arrow(_pages_table(page, start=100)))
         counts[n_groups] = len(calls)
         written[n_groups] = sorted(
@@ -404,3 +402,75 @@ def test_small_tier_ingest_cost_is_the_delta(ray_session, tmp_path, monkeypatch)
         )
     assert counts[2] == counts[12]
     assert written[2] == written[12] == sorted(GROUP_TABLES)
+
+
+@BOTH_TIERS
+def test_pages_table_and_page_file_ingest_alike(ray_session, tier, tmp_path):
+    """The same pages given to add_pages as a pa.Table (rendered and
+    extracted in this process) and read by ingest_directory from a parquet
+    file (Ray's extraction) leave equal group tables."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from graphiti_ray.pipelines.incremental import ingest_directory
+
+    base = str(tmp_path / "base")
+    _build(base, [("Alice Smith likes Bob Jones.", "g1", T[0]), ("Carol White works at Globex Inc.", "g2", T[1])])
+    rows = [
+        ("Alice dislikes Bob Jones.\nAlice works at Acme Corp.", "g1", T[3]),
+        ("Erin Green works at Hooli Corp.", "g3", T[4]),
+    ]
+    incoming = tmp_path / "incoming"
+    incoming.mkdir()
+    pq.write_table(_pages_table(rows, start=10), str(incoming / "batch_001.parquet"))
+    roots = {k: str(tmp_path / k) for k in ("table", "file")}
+    for root in roots.values():
+        shutil.copytree(base, root)
+    stats = add_pages(roots["table"], _pages_table(rows, start=10))
+    [logged] = ingest_directory(roots["file"], str(incoming))
+    assert logged == {"file": "batch_001.parquet", **stats}
+    assert stats["episodes_added"] == 2
+    for name in GROUP_TABLES:
+        assert _table(roots["table"], name) == _table(roots["file"], name), name
+
+
+def test_replaced_tables_name_themselves_in_manifest(ray_session, tmp_path):
+    """replace_table writes the table's own name, not its temp directory's,
+    into MANIFEST.json and its metrics: the nodes table a summarized build
+    rewrites, and each table add_pages swaps."""
+    import json
+    import os
+
+    import pyarrow as pa
+
+    from graphiti_ray.state.checkpoint import MANIFEST, replace_table
+
+    def manifest_table(name):
+        with open(os.path.join(root, name, MANIFEST)) as f:
+            return json.load(f)["table"]
+
+    root = str(tmp_path / "kg")
+    _build(root, [("Alice Smith likes Bob Jones.", "g1", T[0])], node_summaries=True)
+    assert manifest_table("nodes") == "nodes"
+    add_pages(root, _pages_table([("Alice dislikes Bob Jones.", "g1", T[3])], start=10))
+    for name in ("canonical_map", "nodes", "mention_edges", "edges"):
+        assert manifest_table(name) == name
+    assert replace_table(root, "scratch", pa.table({"x": [1]}))["table"] == "scratch"
+    assert manifest_table("scratch") == "scratch"
+
+
+def test_page_naming_no_entity_keeps_table_schemas(ray_session, tmp_path):
+    """A page that names no entity, ingested into a new group on the
+    in-process tier, leaves every group table's schema as it was (the
+    kernels' empty outputs carry their own columns), and a later ingest
+    into that group adds its facts."""
+    root = str(tmp_path / "kg")
+    _build(root, [("Alice Smith likes Bob Jones.", "g1", T[0])])
+    before = {name: _table(root, name)[0] for name in GROUP_TABLES}
+    stats = add_pages(root, _pages_table([("nothing to see here.", "g5", T[3])], start=10))
+    assert stats == {"episodes_added": 1, "affected_groups": ["g5.example.com"]}
+    assert {name: _table(root, name)[0] for name in GROUP_TABLES} == before
+    add_pages(root, _pages_table([("Carol White likes Dave Brown.", "g5", T[4])], start=20))
+    edges = read_table(root, "edges").to_pandas()
+    assert set(edges[edges.group_id == "g5.example.com"].subj_canonical) == {"Carol White"}

@@ -13,11 +13,10 @@ import pytest
 from graphiti_ray.pipelines.kg import run_kg
 from tests.test_boilerplate import SF  # the sf0.001 fixture directory
 from tests.test_incremental import GROUP_TABLES, _table
-from tests.test_mcp_facade import _count_executions
 
 
 @pytest.fixture(scope="module")
-def builds(ray_session, tmp_path_factory):
+def builds(ray_session, tmp_path_factory, count_executions):
     """×1 builds of the sf0.001 pages with embeddings and node summaries:
     two with the default bounds, one with both bounds at 0. Each entry is
     (root, run_kg's metrics, Ray Data executions started). The builds run
@@ -35,7 +34,7 @@ def builds(ray_session, tmp_path_factory):
             if label == "bounds_0":
                 m.setattr(ops, "SMALL_SORT_ROWS", 0)
                 m.setattr(ops, "SMALL_SORT_BYTES", 0)
-            calls = _count_executions(m)
+            calls = count_executions(m)
             metrics = run_kg(SF, root, embeddings=True, node_summaries=True)
         out[label] = (root, metrics, len(calls))
     return out

@@ -404,6 +404,23 @@ def test_process_pending_writes_one_file_per_group(kg_root, ray_session, tmp_pat
     assert len(table_files(root, "episodes")) == before + 1
 
 
+def test_process_pending_into_small_graph_starts_three_executions(
+    kg_root, ray_session, tmp_path, monkeypatch, count_executions
+):
+    """Into a graph within the in-process bounds, process_pending renders,
+    extracts and links in this process: the only Ray Data executions are
+    the fetches of split_extracted's two views and of canonical_map, which
+    stay Datasets because their rows are counted."""
+    f = GraphitiFacade(_copy(kg_root, tmp_path))
+    for k, person in enumerate(["Ada Park", "Ben Cho", "Cy Diaz"]):
+        f.add_episode(f"e{k}", f"{person} works at Hooli Corp.", group_id="few.example.com")
+    calls = count_executions(monkeypatch)
+    assert "processed 3" in f.process_pending()["message"]
+    assert len(calls) <= 3
+    facts = f.search_facts("Ben Cho works at Hooli Corp.", group_ids=["few.example.com"])
+    assert "Ben Cho works at Hooli Corp." in {x["fact"] for x in facts["facts"]}
+
+
 def test_add_pages_rejects_mismatched_embeddings(kg_root, ray_session, tmp_path):
     from graphiti_ray.state.checkpoint import table_files
 
@@ -430,31 +447,20 @@ def test_search_runs_no_shuffle(kg_root, ray_session, tmp_path, monkeypatch):
     assert any(n["name"] == "Alice Smith" for n in f.search_nodes("Alice Smith")["nodes"])
 
 
-def _count_executions(monkeypatch) -> list[str]:
-    """Records every Ray Data execution started from now on: each runs
-    through one of these two ExecutionPlan entry points."""
-    from ray.data._internal.plan import ExecutionPlan
-
-    calls = []
-    for name in ("execute", "execute_to_iterator"):
-        def counted(self, *a, _name=name, _orig=getattr(ExecutionPlan, name), **k):
-            calls.append(_name)
-            return _orig(self, *a, **k)
-
-        monkeypatch.setattr(ExecutionPlan, name, counted)
-    return calls
-
-
-def test_small_table_search_runs_no_ray_data(kg_root, ray_session, tmp_path, monkeypatch):
+def test_small_table_search_runs_no_ray_data(
+    kg_root, ray_session, tmp_path, monkeypatch, count_executions
+):
     """A table within ops.SMALL_SORT_ROWS/BYTES is searched in this process."""
     f = GraphitiFacade(_copy(kg_root, tmp_path))
-    calls = _count_executions(monkeypatch)
+    calls = count_executions(monkeypatch)
     assert f.search_facts("Alice Smith works at")["facts"]
     assert any(n["name"] == "Alice Smith" for n in f.search_nodes("Alice Smith")["nodes"])
     assert calls == []
 
 
-def test_search_above_bound_matches_in_process(kg_root, ray_session, tmp_path, monkeypatch):
+def test_search_above_bound_matches_in_process(
+    kg_root, ray_session, tmp_path, monkeypatch, count_executions
+):
     """With either bound at 0 every table counts as large: the Dataset
     path runs, and returns what the in-process path returns, after each
     of three ingest cycles."""
@@ -480,7 +486,7 @@ def test_search_above_bound_matches_in_process(kg_root, ray_session, tmp_path, m
         for bound in ("SMALL_SORT_BYTES", "SMALL_SORT_ROWS"):
             with monkeypatch.context() as m:
                 m.setattr(ops, bound, 0)
-                calls = _count_executions(m)
+                calls = count_executions(m)
                 large = searches()
             assert calls  # the Dataset path ran
             assert large == small

@@ -79,6 +79,40 @@ def test_auto_embedding_falls_back_without_package(ray_session, monkeypatch):
         assert np.allclose(np.asarray(a), np.asarray(b))
 
 
+def test_auto_embedding_of_a_table(ray_session, monkeypatch):
+    """A ``pa.Table`` comes back as a table: with a model selected it goes
+    through the model path as a Dataset (``rd.from_arrow``); without one
+    the hashing embedder runs on it in this process, with the values the
+    Dataset path gives."""
+    import pyarrow as pa
+
+    from graphiti_ray.stages import models
+    from graphiti_ray.stages.embed import with_embedding
+    from graphiti_ray.state.checkpoint import fetch_table
+
+    t = pa.table({"uuid": ["u0", "u1"], "text": ["document about rayon", "another"]})
+    monkeypatch.delenv(EMBED_MODEL_ENV, raising=False)
+    hashed = auto_embedding(t, "text", "emb")
+    assert isinstance(hashed, pa.Table)
+    assert hashed.equals(fetch_table(with_embedding(rd.from_arrow(t), "text", "emb").materialize()))
+
+    seen = []
+
+    def model_path(ds, text_col, out_col, model_name=None, **kw):
+        seen.append((isinstance(ds, rd.Dataset), model_name))
+        return ds.map_batches(
+            lambda b: b.append_column(out_col, pa.array([1.0] * b.num_rows)),
+            batch_format="pyarrow",
+        )
+
+    monkeypatch.setattr(models, "sentence_transformers_available", lambda: True)
+    monkeypatch.setattr(models, "with_model_embedding", model_path)
+    monkeypatch.setenv(EMBED_MODEL_ENV, "stub-model")
+    out = auto_embedding(t, "text", "emb")
+    assert seen == [(True, "stub-model")]
+    assert isinstance(out, pa.Table) and out["emb"].to_pylist() == [1.0, 1.0]
+
+
 def test_cross_encoder_loader_dispatch(monkeypatch):
     monkeypatch.delenv(CROSS_ENCODER_MODEL_ENV, raising=False)
     assert default_cross_encoder_loader() is None

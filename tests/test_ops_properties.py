@@ -719,17 +719,20 @@ def _run_stats():
     return kernel
 
 
-def _tier_table(n=240):
-    """A hot key holding two thirds of the rows, cold keys, null keys
-    (int64: Ray's range sort cannot partition a string key with nulls),
-    and a repeating ``v``, so equal-value runs straddle blocks."""
+def _tier_table(n=240, key_type=None):
+    """A hot key holding two thirds of the rows, cold keys, null keys and
+    a repeating ``v``, so equal-value runs straddle blocks. ``k`` is int64,
+    or the same values as strings when ``key_type`` is ``pa.string()``."""
     import pyarrow as pa
 
+    key_type = key_type or pa.int64()
     rng = np.random.default_rng(3)
     keys = [7] * (n * 2 // 3) + [1, 2, 3] * (n // 12) + [None] * (n // 12)
+    if pa.types.is_string(key_type):
+        keys = [None if k is None else str(k) for k in keys]
     t = pa.table(
         {
-            "k": pa.array(keys, pa.int64()),
+            "k": pa.array(keys, key_type),
             "v": pa.array(rng.integers(0, 9, n), pa.int64()),
             "rid": pa.array(range(n), pa.int64()),
         }
@@ -751,28 +754,31 @@ def _both_tiers(run, nblocks, t):
 def test_sorted_run_map_and_lead_tiers_agree(ray_session, nblocks):
     """On 1-8 blocks (inputs that newly take the in-process tier) the
     one-table kernels equal the distributed boundary exchange: a hot key
-    spanning blocks, null keys, repeated values."""
+    spanning blocks, null keys (int64 and string: Ray's range sort cannot
+    compare None with str, so ``_range_sort`` flags string nulls), repeated
+    values."""
     import pyarrow as pa
 
     from graphiti_ray.stages.ops import sorted_run_map
 
-    t = _tier_table()
-    small, dist = _both_tiers(
-        lambda ds: sorted_run_map(ds, ["k"], _run_stats(), order_cols=["rid"]), nblocks, t
-    )
-    pd.testing.assert_frame_equal(small, dist)
-    keys = t["k"].to_pandas()
-    assert small.loc[small.k == 7, "n"].eq((keys == 7).sum()).all()
-    assert small.loc[small.k.isna(), "n"].eq(keys.isna().sum()).all()
+    for key_type, hot in ((pa.int64(), 7), (pa.string(), "7")):
+        t = _tier_table(key_type=key_type)
+        small, dist = _both_tiers(
+            lambda ds: sorted_run_map(ds, ["k"], _run_stats(), order_cols=["rid"]), nblocks, t
+        )
+        pd.testing.assert_frame_equal(small, dist)
+        keys = t["k"].to_pandas()
+        assert small.loc[small.k == hot, "n"].eq((keys == hot).sum()).all()
+        assert small.loc[small.k.isna(), "n"].eq(keys.isna().sum()).all()
 
-    small, dist = _both_tiers(
-        lambda ds: sorted_lead(
-            ds, ["k"], ["v", "rid"], "v", out_col="nxt", out_type=pa.int64()
-        ),
-        nblocks,
-        t,
-    )
-    pd.testing.assert_frame_equal(small, dist)
+        small, dist = _both_tiers(
+            lambda ds: sorted_lead(
+                ds, ["k"], ["v", "rid"], "v", out_col="nxt", out_type=pa.int64()
+            ),
+            nblocks,
+            t,
+        )
+        pd.testing.assert_frame_equal(small, dist)
 
 
 def test_sorted_run_map_and_lead_empty_input(ray_session):
