@@ -2,52 +2,42 @@
 
 The reference's core usage is online: each new episode re-resolves against
 the accumulated graph (graphiti.py:267-484). The batch-world equivalent —
-with the same outcome — is a **group-granular incremental update**:
+with the same outcome — is a **group-granular incremental update**: the
+*affected groups* are exactly the group_ids (hosts) the new pages touch,
+and every other group is provably unchanged (all linking, merging and
+invalidation is group-scoped, SURVEY §1.1). ``add_pages`` runs the build's
+own chain (``kg._kg_chain``) with an ingest stage runner:
 
-1. extract the new pages; the *affected partitions* are exactly the
-   group_ids (hosts) they touch — everything else is provably unchanged
-   (all linking/merging/invalidation is group-scoped, SURVEY §1.1);
-2. append the new episodes/extracted rows to their tables (append-only,
-   no rewrite of history — T6's "expired_at never deletes");
-3. recompute canonical_map / nodes / mention_edges / edges ONLY for the
-   affected groups from the (now appended) extracted table, keep the
-   untouched groups' rows verbatim (a summarized or attributed node of an
-   untouched group keeps its digest), and atomically swap the tables.
+- ``episodes``: the increment, not written yet;
+- ``extracted``: the new episodes and their extraction are appended back
+  to back (append-only, T6's "expired_at never deletes"), and the stage
+  gives the affected groups' full ``extracted`` rows;
+- every other table: the untouched groups' rows are kept verbatim (a
+  summarized or attributed node keeps its digest), the affected groups'
+  rows are made and the union is swapped in atomically. A table the graph
+  does not keep (``community_edges`` without ``communities``) is made but
+  not written.
 
-At 10^12-document scale the affected-group set per increment is tiny
-relative to the graph, so an update costs O(affected groups), not O(graph).
-Late/out-of-order data is handled for free: the sweep re-sorts by event
-time, so a late contradicting page retro-invalidates exactly as the
-reference's interval kernel would (FIXTURES.md F3 "out-of-order arrival").
+So an update costs O(affected groups), not O(graph). Late or out-of-order
+data is handled for free: the sweep re-sorts by event time, so a late
+contradicting page retro-invalidates exactly as the reference's interval
+kernel would (FIXTURES.md F3 "out-of-order arrival").
 
 Each group table has two tiers, chosen per table by
-``checkpoint.fits_in_process`` (the ``ops.SMALL_SORT_ROWS`` /
-``ops.SMALL_SORT_BYTES`` rule the facade's search uses): a table whose
-parquet footers are within both bounds is read with pyarrow in this
-process and split into untouched and affected groups' rows by one
-``pc.is_in`` on ``group_id`` (``_split``); the rewritten table is the kept
-rows plus the new part, written by pyarrow as one file (``_swap``), and
-an increment within the bounds is appended as one file. A larger table
-keeps the Dataset path: lazy ``_filter_in`` scans, a union, and Ray's
-parquet writers.
-
-The kernels follow the ``extracted`` table's tier. When ``_split`` gives
-its affected rows as a ``pa.Table``, the chain (split, canonical map,
-nodes, mention edges, merge, sweep, embeddings) passes tables from
-kernel to kernel: each kernel runs its block function once in this
-process and no Ray Data job starts, except for two outputs that stay
-Datasets because their rows are counted with ``Dataset.count()`` (the
-benchmark's traced counters): ``split_extracted``'s views and
-``canonical_map``. Each is fetched back once. Otherwise every kernel
-runs on Datasets, as ``run_kg`` calls them. The kernels are called
-through this module's globals either way. Pages given as a ``pa.Table``
-(``GraphitiFacade.process_pending``) are also rendered and extracted in
-this process; pages given as a Dataset (``ingest_directory``) keep Ray's
-extraction, so a large page file is not put on one core.
+``checkpoint.table_fits_in_process`` (the ``ops.SMALL_SORT_ROWS`` /
+``ops.SMALL_SORT_BYTES`` rule the facade's search uses): a table within
+both bounds is read, split by ``group_id`` and rewritten with pyarrow in
+this process as one file (``_split``); a larger one takes lazy Dataset
+filters, a union and Ray's parquet writers. When the affected
+``extracted`` rows are a ``pa.Table`` the kernels chain tables in this
+process. Pages given as a ``pa.Table`` (``GraphitiFacade.process_pending``)
+are also rendered and extracted here; pages given as a Dataset
+(``ingest_directory``) keep Ray's extraction.
 """
 
 from __future__ import annotations
 
+import sys
 from datetime import datetime
 
 import pyarrow as pa
@@ -55,24 +45,33 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
+from graphiti_ray.pipelines.kg import _dataset, _kg_chain, run_kg
 from graphiti_ray.stages.extract import DEFAULT_RUN_TS, episodes_dataset
-from graphiti_ray.stages.models import auto_embedding as with_embedding
-from graphiti_ray.stages.link import (
+
+# The kernels _kg_chain calls, imported here although this module never
+# names them: the chain looks each one up on this module, so perfbench's
+# traced ingest wraps them here, apart from run_kg's.
+from graphiti_ray.stages.link import (  # noqa: F401
+    BROADCAST_LIMIT,
+    apply_canonical,
     apply_canonical_broadcast,
     canon_lookup_ref,
     canonical_map,
     mention_edges_broadcast,
     nodes_from_canonical,
 )
-from graphiti_ray.stages.nlp import extracted_dataset, split_extracted
-from graphiti_ray.stages.temporal import (
+from graphiti_ray.stages.models import auto_embedding as with_embedding  # noqa: F401
+from graphiti_ray.stages.nlp import extracted_dataset, split_extracted  # noqa: F401
+from graphiti_ray.stages.temporal import (  # noqa: F401
     episodes_to_list,
     invalidation_sweep_scalable,
     merged_edges,
 )
 from graphiti_ray.state.checkpoint import (
     append_table,
+    checkpointed_write,
     fetch_table,
+    is_complete,
     read_table,
     read_table_arrow,
     replace_table,
@@ -113,27 +112,10 @@ def _split(out_root: str, name: str, affected: frozenset, columns=None) -> tuple
     )
 
 
-def _dataset(rows: rd.Dataset | pa.Table) -> rd.Dataset:
-    """``rows`` as a Dataset."""
-    return rd.from_arrow(rows) if isinstance(rows, pa.Table) else rows
-
-
-def _swap(out_root: str, name: str, keep, new) -> None:
-    """Replace table ``name`` with ``keep`` ∪ ``new``. When ``keep`` is a
-    ``pa.Table`` (``_split``'s in-process tier), a Dataset ``new`` is
-    fetched once and the union is written by pyarrow as one file."""
-    if isinstance(keep, pa.Table):
-        if not isinstance(new, pa.Table):
-            new = fetch_table(new)
-        replace_table(out_root, name, pa.concat_tables([keep, new], promote_options="default"))
-    else:
-        replace_table(out_root, name, keep.union(_dataset(new)))
-
-
 def _check_embeddings(out_root: str, embeddings: bool) -> None:
     import pyarrow.parquet as pq
 
-    from graphiti_ray.state.checkpoint import is_complete, table_files
+    from graphiti_ray.state.checkpoint import table_files
 
     files = table_files(out_root, "edges") if is_complete(out_root, "edges") else []
     stored = bool(files) and "fact_embedding" in pq.read_schema(files[0]).names
@@ -188,14 +170,10 @@ def add_pages(
             if t.num_rows
             for g in pc.unique(t["group_id"]).to_pylist()
         )
-    from graphiti_ray.state.checkpoint import checkpointed_write, is_complete
-
     if not is_complete(out_root, "episodes"):
         # bootstrap an EMPTY root: the new episodes become the initial
         # graph via the batch pipeline's resume path (run_kg skips the
         # just-written episodes checkpoint and derives every other table)
-        from graphiti_ray.pipelines.kg import run_kg
-
         checkpointed_write(inc, out_root, "episodes", {"note": "bootstrap"})
         run_kg("unused", out_root, run_ts=run_ts, embeddings=embeddings)
         return {
@@ -224,81 +202,45 @@ def add_pages(
         added = new_eps.count()
     if added == 0:
         return {"episodes_added": 0, "affected_groups": sorted(affected)}
-    new_extracted = extracted_dataset(new_eps)
-    if not isinstance(new_extracted, pa.Table):
-        new_extracted = table_if_fits(new_extracted.materialize())
 
-    n_eps = append_table(out_root, "episodes", inc, note="add_pages")
-    append_table(out_root, "extracted", new_extracted, note="add_pages")
+    def stage(name, make):
+        """The ingest stage runner (module docstring)."""
+        if name == "episodes":
+            return new_eps
+        if name == "extracted":
+            new = make()
+            if not isinstance(new, pa.Table):
+                new = table_if_fits(new.materialize())
+            append_table(out_root, "episodes", inc, note="add_pages")
+            append_table(out_root, "extracted", new, note="add_pages")
+            _, rows = _split(out_root, "extracted", affected)
+            return rows if isinstance(rows, pa.Table) else rows.materialize()
+        if not is_complete(out_root, name):
+            return make()
+        keep, _ = _split(out_root, name, affected)
+        new = make()
+        if isinstance(keep, pa.Table):
+            new = new if isinstance(new, pa.Table) else fetch_table(new)
+            both = pa.concat_tables([keep, new], promote_options="default")
+        else:
+            new = _dataset(new).materialize()
+            both = keep.union(new)
+        replace_table(out_root, name, both)
+        return new
 
-    # full extracted rows for the affected groups (old + just-appended);
-    # on the in-process tier they stay tables through the chain, and the
-    # two counted outputs are fetched back once each
-    _, extracted_aff = _split(out_root, "extracted", affected)
-    in_process = isinstance(extracted_aff, pa.Table)
-    if in_process:
-        mentions_aff, triples_aff = map(fetch_table, split_extracted(extracted_aff))
-    else:
-        mentions_aff, triples_aff = split_extracted(extracted_aff.materialize())
-
-    # canonical map: untouched groups verbatim + fresh resolution for touched
-    canon_keep, _ = _split(out_root, "canonical_map", affected)
-    canon_new = canonical_map(mentions_aff)
-    if in_process:
-        canon_new = fetch_table(canon_new)
-    else:
-        # arrow-normalize: map_groups emits pandas blocks, and a later sort
-        # over a mixed arrow+pandas union trips ray's block-type assertion
-        canon_new = canon_new.map_batches(lambda t: t, batch_format="pyarrow").materialize()
-    _swap(out_root, "canonical_map", canon_keep, canon_new)
-
-    # nodes: untouched groups verbatim (their summaries and attributes
-    # too), fresh rows for the affected groups only
-    n_keep, _ = _split(out_root, "nodes", affected)
-    n_new = nodes_from_canonical(canon_new)
-    if embeddings:
-        n_new = with_embedding(n_new, "name", "name_embedding")
-    _swap(out_root, "nodes", n_keep, n_new)
-
-    lut = canon_lookup_ref(canon_new)
-
-    m_keep, _ = _split(out_root, "mention_edges", affected)
-    _swap(out_root, "mention_edges", m_keep, mention_edges_broadcast(mentions_aff, lut))
-
-    e_keep, _ = _split(out_root, "edges", affected)
-    resolved = apply_canonical_broadcast(triples_aff, lut)
-    e_new = invalidation_sweep_scalable(merged_edges(resolved, run_ts), run_ts)
-    if embeddings:
-        e_new = with_embedding(e_new, "fact", "fact_embedding")
-    _swap(out_root, "edges", e_keep, episodes_to_list(e_new))
-
-    # incremental communities (graphiti.py:464-471 updates communities per
-    # new entity): when the KG keeps community tables, recompute them for
-    # the affected groups from the refreshed nodes/edges and swap, keeping
-    # untouched groups verbatim (label propagation is group-scoped — edges
-    # never cross group_id).
-    if is_complete(out_root, "communities"):
-        from graphiti_ray.stages.graph import build_communities
-
-        _, nodes_aff = _split(out_root, "nodes", affected)
-        _, edges_aff = _split(out_root, "edges", affected)
-        comm_new = build_communities(_dataset(nodes_aff), _dataset(edges_aff))
-        names = ["communities"]
-        if is_complete(out_root, "community_edges"):
-            names.append("community_edges")
-        for name in names:
-            keep, _ = _split(out_root, name, affected)
-            _swap(
-                out_root,
-                name,
-                keep,
-                comm_new[name].map_batches(lambda t: t, batch_format="pyarrow"),
-            )
-
-    return {
-        "episodes_added": n_eps,
-        "affected_groups": sorted(affected),
-    }
+    _kg_chain(
+        sys.modules[__name__],
+        stage,
+        replace=None,  # no node rewrite runs on an increment
+        make_episodes=None,  # the runner gives the increment
+        run_ts=run_ts,
+        num_partitions=None,
+        nlp_concurrency=None,
+        embeddings=embeddings,
+        node_summaries=False,
+        communities=is_complete(out_root, "communities"),
+    )
+    return {"episodes_added": added, "affected_groups": sorted(affected)}
 
 
 def ingest_directory(
@@ -321,8 +263,6 @@ def ingest_directory(
     import glob
     import json
     import os
-
-    import ray.data as rd
 
     log_path = os.path.join(out_root, "INGEST_LOG.json")
     done: set = set()

@@ -30,16 +30,25 @@ shuffled for linking. Above ``link.BROADCAST_LIMIT`` rows the pipeline
 falls back to the hash-partitioned ``Dataset.join`` path
 (``stages/link.apply_canonical``).
 
-One chain, two runners: ``_kg_chain`` declares the tables in dependency
-order (episodes → extracted → canonical_map → nodes → mention_edges →
-edges, then the optional node rewrites) and makes each through a stage
-runner the driver passes in:
+One chain, three runners: ``_kg_chain`` declares the tables in
+dependency order (episodes → extracted → canonical_map → nodes →
+mention_edges → edges, then the optional node rewrites and the two
+community tables) and makes each through a stage runner the caller
+passes in:
 - ``build_kg``  in-memory: each table is ``make().materialize()``
                 (tests, driver queries);
 - ``run_kg``    checkpointed parquet run (bench, production shape): each
                 table is written once under <out_root>/<table>/ with
                 MANIFEST.json lineage + _SUCCESS (state/checkpoint.py), so
-                a killed run resumes at the first incomplete table.
+                a killed run resumes at the first incomplete table;
+- ``incremental.add_pages``  one increment: each table is made for the
+                affected groups only and swapped in beside the untouched
+                groups' rows (pipelines/incremental.py).
+The chain calls every kernel through the caller's module, so a wrapper
+swapped in on ``kg`` or on ``incremental`` (perfbench's traced build and
+ingest) is the one that runs. Kernels take a ``pa.Table`` as well as a
+Dataset: when the ``extracted`` stage gives a table, the chain passes
+tables from kernel to kernel in the calling process.
 
 ``run_kg`` writes each materialized table by one of two rules, whether it
 fits the in-process bounds (``checkpoint.fits_in_process``: rows and
@@ -56,18 +65,23 @@ Arrow table per stage.
 
 from __future__ import annotations
 
+import sys
 from datetime import datetime
 
+import pyarrow as pa
 import ray.data as rd
 
 import graphiti_ray as gr
 from graphiti_ray.sources.pages import pages_dataset
 from graphiti_ray.stages.extract import DEFAULT_RUN_TS, episodes_dataset
+
+# The kernels _kg_chain calls through this module (``sys.modules[__name__]``)
+# for build_kg and run_kg; incremental.py imports its own set.
 # auto_embedding: deterministic hashing embedder by default; the
 # $GRAPHITI_RAY_EMBED_MODEL env flag swaps in a sentence-transformers
 # actor pool when the package is installed (ST2 real-model seam)
-from graphiti_ray.stages.models import auto_embedding as with_embedding
-from graphiti_ray.stages.link import (
+from graphiti_ray.stages.models import auto_embedding as with_embedding  # noqa: F401
+from graphiti_ray.stages.link import (  # noqa: F401
     BROADCAST_LIMIT,
     apply_canonical,
     apply_canonical_broadcast,
@@ -76,15 +90,22 @@ from graphiti_ray.stages.link import (
     mention_edges_broadcast,
     nodes_from_canonical,
 )
-from graphiti_ray.stages.nlp import extracted_dataset, split_extracted
-from graphiti_ray.stages.temporal import (
+from graphiti_ray.stages.nlp import extracted_dataset, split_extracted  # noqa: F401
+from graphiti_ray.stages.temporal import (  # noqa: F401
     episodes_to_list,
     invalidation_sweep_scalable,
     merged_edges,
 )
+from graphiti_ray.state.checkpoint import fetch_table
+
+
+def _dataset(rows: rd.Dataset | pa.Table) -> rd.Dataset:
+    """``rows`` as a Dataset."""
+    return rd.from_arrow(rows) if isinstance(rows, pa.Table) else rows
 
 
 def _kg_chain(
+    kernels,
     stage,
     replace,
     make_episodes,
@@ -94,46 +115,56 @@ def _kg_chain(
     embeddings: bool,
     node_summaries: bool,
     typed_attributes: bool = False,
-) -> tuple[rd.Dataset, rd.Dataset]:
+    communities: bool = False,
+) -> tuple:
     """Every KG table, in order, through the caller's runners:
     ``stage(name, make)`` makes one table from a zero-argument plan builder
     and returns it; ``replace(name, ds, tag)`` rewrites a made table.
-    Returns the final (nodes, edges)."""
+    Each kernel is looked up on ``kernels``, the calling pipeline's module,
+    at call time. Returns the final (nodes, edges)."""
+    k = kernels
     episodes = stage("episodes", make_episodes)
     extracted = stage(
-        "extracted", lambda: extracted_dataset(episodes, concurrency=nlp_concurrency)
+        "extracted", lambda: k.extracted_dataset(episodes, concurrency=nlp_concurrency)
     )
     # episodes' only consumer is the extracted stage — drop the reference so
     # its materialized blocks can be evicted instead of staying pinned in
     # the object store for the rest of the run (at replicate=640 that's the
     # difference between streaming headroom and a spill storm)
     episodes = None
-    mentions, triples = split_extracted(extracted)
+    mentions, triples = k.split_extracted(extracted)
+    if isinstance(extracted, pa.Table):
+        # the views come back as Datasets (their rows are counted); fetched
+        # once, the kernels below chain tables in this process
+        mentions, triples = fetch_table(mentions), fetch_table(triples)
 
-    canon = stage("canonical_map", lambda: canonical_map(mentions))
-    broadcast = canon.count() <= BROADCAST_LIMIT
-    lut = canon_lookup_ref(canon) if broadcast else None
+    canon = stage("canonical_map", lambda: k.canonical_map(mentions))
+    rows = canon.num_rows if isinstance(canon, pa.Table) else canon.count()
+    broadcast = rows <= k.BROADCAST_LIMIT
+    lut = k.canon_lookup_ref(canon) if broadcast else None
 
     def make_nodes():
-        nodes = nodes_from_canonical(canon)
-        return with_embedding(nodes, "name", "name_embedding") if embeddings else nodes
+        nodes = k.nodes_from_canonical(canon)
+        return k.with_embedding(nodes, "name", "name_embedding") if embeddings else nodes
 
     def make_mention_edges():
         if broadcast:
-            return mention_edges_broadcast(mentions, lut)
+            return k.mention_edges_broadcast(mentions, lut)
         from graphiti_ray.pipelines._joins import mention_edges_join
 
-        return mention_edges_join(mentions, canon, num_partitions)
+        return mention_edges_join(_dataset(mentions), _dataset(canon), num_partitions)
 
     def make_edges():
         if broadcast:
-            resolved = apply_canonical_broadcast(triples, lut)
+            resolved = k.apply_canonical_broadcast(triples, lut)
         else:  # web-scale fallback: hash-partitioned join
-            resolved = apply_canonical(triples, canon, num_partitions=num_partitions)
-        edges = invalidation_sweep_scalable(merged_edges(resolved, run_ts), run_ts)
+            resolved = k.apply_canonical(
+                _dataset(triples), _dataset(canon), num_partitions=num_partitions
+            )
+        edges = k.invalidation_sweep_scalable(k.merged_edges(resolved, run_ts), run_ts)
         if embeddings:
-            edges = with_embedding(edges, "fact", "fact_embedding")
-        return episodes_to_list(edges)
+            edges = k.with_embedding(edges, "fact", "fact_embedding")
+        return k.episodes_to_list(edges)
 
     nodes = stage("nodes", make_nodes)
     stage("mention_edges", make_mention_edges)
@@ -154,6 +185,20 @@ def _kg_chain(
         nodes = replace(
             "nodes", with_typed_attributes(nodes, edges), "typed_attributes"
         )
+    if communities:
+        # one label-propagation pass feeds both tables, run when a runner
+        # first makes one (a resumed run_kg that skips both never runs it)
+        comm = {}
+
+        def make_community(name):
+            if not comm:
+                from graphiti_ray.stages.graph import build_communities
+
+                comm.update(build_communities(_dataset(nodes), _dataset(edges)))
+            return comm[name]
+
+        for name in ("communities", "community_edges"):
+            stage(name, lambda name=name: make_community(name))
     return nodes, edges
 
 
@@ -208,6 +253,7 @@ def build_kg_from_episodes(
         return tables[name]
 
     nodes, edges = _kg_chain(
+        sys.modules[__name__],
         stage,
         lambda _name, ds, _tag: ds.materialize(),
         lambda: episodes,
@@ -289,7 +335,8 @@ def run_kg(
         metrics.append({"table": name, tag: True})
         return ds
 
-    nodes, edges = _kg_chain(
+    _kg_chain(
+        sys.modules[__name__],
         stage,
         replace,
         lambda: episodes_dataset(
@@ -301,19 +348,6 @@ def run_kg(
         nlp_concurrency=nlp_concurrency,
         embeddings=embeddings,
         node_summaries=node_summaries,
+        communities=communities,
     )
-
-    if communities and not (
-        checkpoint.is_complete(out_root, "communities")
-        and checkpoint.is_complete(out_root, "community_edges")
-    ):
-        # one label-propagation pass feeds both tables
-        from graphiti_ray.stages.graph import build_communities
-
-        comm = build_communities(nodes, edges)
-        stage("communities", lambda: comm["communities"])
-        stage("community_edges", lambda: comm["community_edges"])
-    elif communities:
-        metrics.append({"table": "communities", "skipped": True})
-        metrics.append({"table": "community_edges", "skipped": True})
     return metrics

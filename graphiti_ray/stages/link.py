@@ -612,7 +612,8 @@ def canon_lookup_ref(canon: rd.Dataset | pa.Table):
     # boundary for a vocabulary-sized table)
     cols = ["group_id", "name", "canonical", "entity_uuid"]
     tables = [canon] if isinstance(canon, pa.Table) else ray.get(canon.to_arrow_refs())
-    blocks = [t.select(cols).to_pandas() for t in tables]
+    # an empty block may have no columns at all
+    blocks = [t.select(cols).to_pandas() for t in tables if t.num_rows]
     df = pd.concat(blocks, ignore_index=True) if blocks else pd.DataFrame(columns=cols)
     # broadcast payload: a pandas hash Index over "group|name" keys plus
     # parallel value arrays — built once, cached per worker (_cached_lut),

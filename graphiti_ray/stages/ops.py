@@ -94,6 +94,22 @@ def _sorted_table(mat: rd.Dataset, cols: list[str]) -> pa.Table | None:
     return _sort_table(fetch_table(mat), cols)
 
 
+def _on_empty(ds: rd.Dataset, mat: rd.Dataset, block_fn) -> rd.Dataset:
+    """The result for a ``ds`` without rows (``mat``: ``ds`` materialized):
+    ``block_fn`` over the empty input, so the output has the kernel's
+    columns, as on the table path. Ray's map over an empty block drops
+    its columns, so then they come from ``ds``'s schema (for a lazy
+    ``ds``, one more run of its empty plan); an input whose columns are
+    unknown comes back as it is."""
+    tbl = fetch_table(mat)
+    if not tbl.num_columns:
+        sch = ds.schema()
+        if sch is None:
+            return mat
+        tbl = sch.base_schema.empty_table()
+    return rd.from_arrow(block_fn(tbl))
+
+
 def _sort_coalesced(ds: rd.Dataset, cols: list[str]) -> rd.Dataset:
     """Range sort, materialized. Two rules:
 
@@ -241,7 +257,9 @@ def _table_run_starts(block: pa.Table, cols: list[str]) -> "np.ndarray":  # noqa
     import pyarrow.compute as pc
 
     n = block.num_rows
-    change = np.zeros(max(0, n - 1), dtype=bool)
+    if n == 0:
+        return np.zeros(1, dtype=np.int64)  # no runs: the sentinel alone
+    change = np.zeros(n - 1, dtype=bool)
     for c in cols:
         col = _col_array(block, c)
         hi, lo = col.slice(1), col.slice(0, n - 1)
@@ -384,18 +402,20 @@ def sorted_lead(
     within a partition. An input within the in-process bounds, or given
     as a ``pa.Table``, is sorted and led as one table in the calling
     process (module docstring)."""
-    if isinstance(ds, pa.Table):
-        tbl = _sort_table(ds, part_cols + order_cols)
+    def lead(tbl):
         return _lead(tbl, part_cols, value_col, out_col, out_type, None)
+
+    if isinstance(ds, pa.Table):
+        return lead(_sort_table(ds, part_cols + order_cols))
     # arrow-normalize first: from_pandas/map_groups lineages carry pandas
     # blocks, and the remote block fns operate on arrow tables
     mat = ds.map_batches(lambda t: t, batch_format="pyarrow").materialize()
+    if not mat.count():
+        return _on_empty(ds, mat, lead)
     tbl = _sorted_table(mat, part_cols + order_cols)
     if tbl is not None:
-        return rd.from_arrow(_lead(tbl, part_cols, value_col, out_col, out_type, None))
+        return rd.from_arrow(lead(tbl))
     refs = block_refs(_range_sort(mat, part_cols + order_cols))
-    if not refs:
-        return mat
     infos = ray.get([_block_run_info.remote(r, part_cols, value_col) for r in refs])
     out_refs = []
     for i, r in enumerate(refs):
@@ -602,21 +622,21 @@ def sorted_run_map(
     An input within the in-process bounds, or given as a ``pa.Table``,
     is sorted as one table and ``block_fn`` runs once over it in the
     calling process: every run is complete there, so nothing is carried
-    and no overflow can occur. A table input gives a table back, and
-    ``block_fn`` sees it even when it is empty, so the output has the
-    kernel's columns.
+    and no overflow can occur. A table input gives a table back. On
+    every path ``block_fn`` sees an empty input too, so an empty output
+    has the kernel's columns.
     """
     assert on_carry_overflow in ("error", "truncate")
     cols = key_cols + (order_cols or [])
     if isinstance(ds, pa.Table):
         return block_fn(_sort_table(ds, cols))
     mat = ds.map_batches(lambda t: t, batch_format="pyarrow").materialize()
+    if not mat.count():
+        return _on_empty(ds, mat, block_fn)
     tbl = _sorted_table(mat, cols)
     if tbl is not None:
-        return rd.from_arrow(block_fn(tbl)) if tbl.num_rows else mat
+        return rd.from_arrow(block_fn(tbl))
     refs = block_refs(_range_sort(mat, cols))
-    if not refs:
-        return mat
     infos = ray.get([_run_boundary_info.remote(r, key_cols) for r in refs])
     out_refs = []
     for i, r in enumerate(refs):
@@ -660,8 +680,6 @@ def sorted_run_map(
             if not whole_j:
                 break
         out_refs.append(_apply_run_block.remote(r, block_fn, drop, carries))
-    if not out_refs:
-        return mat.limit(0)
     return rd.from_arrow_refs(out_refs)
 
 

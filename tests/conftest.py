@@ -45,3 +45,19 @@ def count_executions():
     """``count_executions(monkeypatch)`` → a list that records every Ray
     Data execution started until ``monkeypatch`` is undone."""
     return _count_executions
+
+
+def _force_dataset_tier(monkeypatch) -> None:
+    """Both in-process bounds at 0: every table takes the Dataset tier."""
+    from graphiti_ray.stages import ops
+
+    monkeypatch.setattr(ops, "SMALL_SORT_ROWS", 0)
+    monkeypatch.setattr(ops, "SMALL_SORT_BYTES", 0)
+
+
+@pytest.fixture(scope="session")
+def force_dataset_tier():
+    """``force_dataset_tier(monkeypatch)`` sets both in-process bounds
+    (``ops.SMALL_SORT_ROWS`` / ``SMALL_SORT_BYTES``) to 0 until
+    ``monkeypatch`` is undone."""
+    return _force_dataset_tier

@@ -15,22 +15,14 @@ from tests.test_pipeline_e2e import _pages_table
 T = [datetime(2024, 1, d + 1) for d in range(10)]
 
 
-def _force_dataset_tier(monkeypatch):
-    """Every in-process bound at 0: each table takes the Dataset tier."""
-    from graphiti_ray.stages import ops
-
-    monkeypatch.setattr(ops, "SMALL_SORT_ROWS", 0)
-    monkeypatch.setattr(ops, "SMALL_SORT_BYTES", 0)
-
-
 @pytest.fixture()
-def tier(request, monkeypatch):
+def tier(request, monkeypatch, force_dataset_tier):
     """The table tier ``add_pages`` runs on: "in_process" by default (the
     fixture graphs are within the bounds), or "dataset" when a test
     parametrizes it so."""
     name = getattr(request, "param", "in_process")
     if name == "dataset":
-        _force_dataset_tier(monkeypatch)
+        force_dataset_tier(monkeypatch)
     return name
 
 
@@ -310,7 +302,7 @@ CYCLES = [
 
 
 @pytest.mark.parametrize("kind", ["node_summaries", "communities"])
-def test_ingest_tiers_agree(ray_session, tmp_path, monkeypatch, kind):
+def test_ingest_tiers_agree(ray_session, tmp_path, monkeypatch, force_dataset_tier, kind):
     """Three ingest cycles leave identical tables on the in-process tier
     and on the Dataset tier (every in-process bound at 0)."""
     import shutil
@@ -333,7 +325,7 @@ def test_ingest_tiers_agree(ray_session, tmp_path, monkeypatch, kind):
         pages = lambda: rd.from_arrow(_pages_table(rows, start=100 * (k + 1)))  # noqa: E731
         small = add_pages(roots["in_process"], pages())
         with monkeypatch.context() as m:
-            _force_dataset_tier(m)
+            force_dataset_tier(m)
             large = add_pages(roots["dataset"], pages())
         assert small == large
     for name in tables:
@@ -460,11 +452,12 @@ def test_replaced_tables_name_themselves_in_manifest(ray_session, tmp_path):
     assert manifest_table("scratch") == "scratch"
 
 
-def test_page_naming_no_entity_keeps_table_schemas(ray_session, tmp_path):
-    """A page that names no entity, ingested into a new group on the
-    in-process tier, leaves every group table's schema as it was (the
-    kernels' empty outputs carry their own columns), and a later ingest
-    into that group adds its facts."""
+@BOTH_TIERS
+def test_page_naming_no_entity_keeps_table_schemas(ray_session, tier, tmp_path):
+    """A page that names no entity, ingested into a new group, leaves
+    every group table's schema as it was (the kernels' empty outputs
+    carry their own columns on both tiers), and a later ingest into that
+    group adds its facts."""
     root = str(tmp_path / "kg")
     _build(root, [("Alice Smith likes Bob Jones.", "g1", T[0])])
     before = {name: _table(root, name)[0] for name in GROUP_TABLES}
@@ -474,3 +467,47 @@ def test_page_naming_no_entity_keeps_table_schemas(ray_session, tmp_path):
     add_pages(root, _pages_table([("Carol White likes Dave Brown.", "g5", T[4])], start=20))
     edges = read_table(root, "edges").to_pandas()
     assert set(edges[edges.group_id == "g5.example.com"].subj_canonical) == {"Carol White"}
+
+
+def test_chain_calls_the_kernels_of_its_pipeline(ray_session, tmp_path, monkeypatch):
+    """``_kg_chain`` looks each kernel up on the calling pipeline's module:
+    a wrapper on ``incremental.canonical_map`` runs in add_pages, and one
+    on ``kg.canonical_map`` runs in run_kg but not in add_pages. The
+    benchmark's traced build and ingest wrap the kernels there."""
+    import graphiti_ray.pipelines.incremental as incmod
+    import graphiti_ray.pipelines.kg as kgmod
+
+    calls = []
+    for mod in (kgmod, incmod):
+        def counted(*a, _mod=mod.__name__, _orig=mod.canonical_map, **k):
+            calls.append(_mod)
+            return _orig(*a, **k)
+
+        monkeypatch.setattr(mod, "canonical_map", counted)
+    root = str(tmp_path / "kg")
+    _build(root, [("Alice Smith likes Bob Jones.", "g1", T[0])])
+    assert calls == [kgmod.__name__]
+    add_pages(root, _pages_table([("Alice dislikes Bob Jones.", "g1", T[3])], start=10))
+    assert calls == [kgmod.__name__, incmod.__name__]
+
+
+@BOTH_TIERS
+def test_ingest_hash_join_fallback_equals_broadcast(ray_session, tier, tmp_path, monkeypatch):
+    """Above ``BROADCAST_LIMIT`` canonical rows add_pages links by the
+    hash join, as run_kg does, and leaves the same group tables as the
+    broadcast."""
+    import shutil
+
+    import graphiti_ray.pipelines.incremental as incmod
+
+    base = str(tmp_path / "base")
+    _build(base, [("Alice Smith likes Bob Jones.", "g1", T[0]), ("Carol White works at Globex Inc.", "g2", T[1])])
+    roots = {k: str(tmp_path / k) for k in ("broadcast", "join")}
+    for root in roots.values():
+        shutil.copytree(base, root)
+    rows = [("Alice dislikes Bob Jones.", "g1", T[3]), ("A. Smith works at Acme Corp.", "g1", T[4])]
+    add_pages(roots["broadcast"], _pages_table(rows, start=10))
+    monkeypatch.setattr(incmod, "BROADCAST_LIMIT", -1)
+    add_pages(roots["join"], _pages_table(rows, start=10))
+    for name in GROUP_TABLES:
+        assert _table(roots["broadcast"], name) == _table(roots["join"], name), name

@@ -16,7 +16,7 @@ from tests.test_incremental import GROUP_TABLES, _table
 
 
 @pytest.fixture(scope="module")
-def builds(ray_session, tmp_path_factory, count_executions):
+def builds(ray_session, tmp_path_factory, count_executions, force_dataset_tier):
     """×1 builds of the sf0.001 pages with embeddings and node summaries:
     two with the default bounds, one with both bounds at 0. Each entry is
     (root, run_kg's metrics, Ray Data executions started). The builds run
@@ -24,16 +24,13 @@ def builds(ray_session, tmp_path_factory, count_executions):
     ``preserve_order``."""
     from ray.data import DataContext
 
-    from graphiti_ray.stages import ops
-
     out = {}
     for label in ("small", "small_again", "bounds_0"):
         root = str(tmp_path_factory.mktemp(label))
         with pytest.MonkeyPatch.context() as m:
             m.setattr(DataContext.get_current().execution_options, "preserve_order", False)
             if label == "bounds_0":
-                m.setattr(ops, "SMALL_SORT_ROWS", 0)
-                m.setattr(ops, "SMALL_SORT_BYTES", 0)
+                force_dataset_tier(m)
             calls = count_executions(m)
             metrics = run_kg(SF, root, embeddings=True, node_summaries=True)
         out[label] = (root, metrics, len(calls))

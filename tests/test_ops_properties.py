@@ -783,7 +783,10 @@ def test_sorted_run_map_and_lead_tiers_agree(ray_session, nblocks):
 
 def test_sorted_run_map_and_lead_empty_input(ray_session):
     """An empty input gives an empty output on both tiers (a negative row
-    bound forces the distributed path even for 0 rows)."""
+    bound forces the distributed path even for 0 rows), with the kernel's
+    columns when the input's blocks carry its columns. Ray's repartition
+    of an empty table leaves blocks without columns, so that input can
+    only come back empty."""
     import pyarrow as pa
 
     from graphiti_ray.stages.ops import sorted_run_map
@@ -791,10 +794,16 @@ def test_sorted_run_map_and_lead_empty_input(ray_session):
     t = _tier_table().slice(0, 0)
     for rows_cap in (10**9, -1):
         with _sort_path(rows_cap):
-            ds = rd.from_arrow(t).repartition(3)
-            assert sorted_run_map(ds, ["k"], _run_stats(), order_cols=["rid"]).count() == 0
-            lead = sorted_lead(ds, ["k"], ["v", "rid"], "v", out_col="nxt", out_type=pa.int64())
-            assert lead.count() == 0
+            for ds, with_columns in (
+                (rd.from_arrow(t).repartition(3), False),
+                (rd.from_arrow([t, t, t]), True),
+            ):
+                runs = sorted_run_map(ds, ["k"], _run_stats(), order_cols=["rid"])
+                lead = sorted_lead(ds, ["k"], ["v", "rid"], "v", out_col="nxt", out_type=pa.int64())
+                assert runs.count() == lead.count() == 0
+                if with_columns:
+                    assert runs.schema().names == ["k", "v", "rid", "rank", "n"]
+                    assert lead.schema().names == ["k", "v", "rid", "nxt"]
 
 
 def test_hll_registers_by_group_matches_per_group_sketch(ray_session):

@@ -85,15 +85,12 @@ def _run(pages, table: bool) -> dict:
 
 
 @pytest.fixture(scope="module")
-def outputs(ray_session):
+def outputs(ray_session, force_dataset_tier):
     """(table path's outputs, Dataset path's outputs with the bounds at 0)."""
-    from graphiti_ray.stages import ops
-
     pages = _pages_table(PAGES)
     tables = _run(pages, table=True)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(ops, "SMALL_SORT_ROWS", 0)
-        m.setattr(ops, "SMALL_SORT_BYTES", 0)
+        force_dataset_tier(m)
         datasets = _run(rd.from_arrow(pages).repartition(3), table=False)
     return tables, datasets
 
